@@ -214,121 +214,8 @@ func BenchmarkLexer(b *testing.B) {
 	}
 }
 
-// BenchmarkTracerOverhead guards the observability tentpole's cost
-// contract: a no-op tracer must be indistinguishable from no tracer
-// (both reduce to nil inside the parser — see obs.Active), and an
-// enabled tracer's cost is reported for tracking. Run the off/nop
-// pair to verify the <2% disabled-overhead requirement.
-func BenchmarkTracerOverhead(b *testing.B) {
-	w, err := bench.ByName("Java1.5")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := w.Load()
-	if err != nil {
-		b.Fatal(err)
-	}
-	input := w.Input(1, 500)
-	run := func(b *testing.B, opts ...llstar.ParserOption) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := g.NewParser(opts...)
-			if _, err := p.Parse(w.Start, input); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("off", func(b *testing.B) { run(b) })
-	b.Run("nop", func(b *testing.B) { run(b, llstar.WithTracer(llstar.NopTracer())) })
-	b.Run("jsonl-discard", func(b *testing.B) {
-		run(b, llstar.WithTracer(llstar.NewJSONLTracer(io.Discard)))
-	})
-	b.Run("metrics", func(b *testing.B) {
-		run(b, llstar.WithMetrics(llstar.NewMetrics()))
-	})
-}
-
-// BenchmarkCoverageOverhead guards the coverage profiler's cost
-// contract alongside BenchmarkTracerOverhead: with no profile
-// installed every instrumentation site is a nil check ("off" must
-// match the historical baseline), and the enabled cost — field bumps
-// plus one mutex acquisition per parse — is reported for tracking.
-func BenchmarkCoverageOverhead(b *testing.B) {
-	w, err := bench.ByName("Java1.5")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := w.Load()
-	if err != nil {
-		b.Fatal(err)
-	}
-	input := w.Input(1, 500)
-	run := func(b *testing.B, opts ...llstar.ParserOption) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := g.NewParser(opts...)
-			if _, err := p.Parse(w.Start, input); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("off", func(b *testing.B) { run(b) })
-	b.Run("coverage", func(b *testing.B) { run(b, llstar.WithCoverage(g.NewCoverage())) })
-	b.Run("coverage+stats", func(b *testing.B) {
-		run(b, llstar.WithCoverage(g.NewCoverage()), llstar.WithStats())
-	})
-}
-
-// BenchmarkFlightOverhead guards the flight recorder's cost contract
-// alongside BenchmarkTracerOverhead and BenchmarkCoverageOverhead:
-// with no recorder (or after detach) the parser is back to a single
-// nil-tracer check, and the enabled cost — one ring-slot store per
-// event, no allocation — is reported for tracking. The "detached" case
-// is the server's pooled-parser steady state between requests.
-func BenchmarkFlightOverhead(b *testing.B) {
-	w, err := bench.ByName("Java1.5")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := w.Load()
-	if err != nil {
-		b.Fatal(err)
-	}
-	input := w.Input(1, 500)
-	run := func(b *testing.B, prep func(*llstar.Parser)) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := g.NewParser()
-			if prep != nil {
-				prep(p)
-			}
-			if _, err := p.Parse(w.Start, input); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("off", func(b *testing.B) { run(b, nil) })
-	b.Run("nil", func(b *testing.B) {
-		run(b, func(p *llstar.Parser) { p.SetFlightRecorder(nil) })
-	})
-	b.Run("detached", func(b *testing.B) {
-		run(b, func(p *llstar.Parser) {
-			p.SetFlightRecorder(llstar.NewFlightRecorder(256))
-			p.SetFlightRecorder(nil)
-		})
-	})
-	rec := llstar.NewFlightRecorder(256)
-	b.Run("flight", func(b *testing.B) {
-		run(b, func(p *llstar.Parser) {
-			rec.Reset()
-			p.SetFlightRecorder(rec)
-		})
-	})
-}
-
-// BenchmarkServerObsOverhead extends the BenchmarkTracerOverhead /
-// BenchmarkFlightOverhead cost-contract suite one layer up, to the
-// fleet observability plane: a full /v1/parse through the server with
+// BenchmarkServerObsOverhead extends BenchmarkProbeOverhead's
+// cost-contract suite one layer up, to the fleet observability plane: a full /v1/parse through the server with
 // the fleet event log disabled (EventLogSize < 0) must cost the same
 // as with it enabled — the log is only touched by lifecycle events
 // (reloads, health flips), never the request path — and the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -269,6 +270,9 @@ func startBenchServer(concurrency int) (url string, shutdown func(), err error) 
 		MaxInFlight:  maxInFlight,
 		MaxBodyBytes: 64 << 20, // big generated inputs are the point
 		Preload:      []string{"all"},
+		// Warnings only: an access-log line per request would time the
+		// logger, not the parse service.
+		Logger: slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})),
 	})
 	if err != nil {
 		cleanupDir()

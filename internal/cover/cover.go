@@ -6,15 +6,17 @@
 // and DFA states does the corpus never exercise; and which decision
 // burns the speculation budget.
 //
-// The design mirrors the tracer's cost contract: with no Profile
-// installed, every instrumentation site in the interpreter is a single
-// nil check. With one installed, the parser records into a private,
-// unsynchronized Recorder and merges it into the shared Profile once
-// per parse, so pooled parsers and Grammar.ParseConcurrent accumulate
-// into one mergeable aggregate without hot-path locking.
+// A Recorder is a consumer of the parser's runtime.Probe: the parser
+// feeds a private, unsynchronized Recorder, which merges into the shared
+// Profile once per parse, so pooled parsers and Grammar.ParseConcurrent
+// accumulate into one mergeable aggregate without hot-path locking.
 package cover
 
-import "sync"
+import (
+	"sync"
+
+	"llstar/internal/runtime"
+)
 
 // Strategy classifies how one prediction event resolved at runtime.
 type Strategy int
@@ -321,14 +323,20 @@ func (p *Profile) Snapshot() *Snapshot {
 	return s
 }
 
-// Recorder is the hot-path collector bound to one parser. It is NOT
-// safe for concurrent use — exactly like the parser that owns it. All
-// methods are cheap field updates; the interpreter gates every call on
-// a single nil check.
+// Recorder is the hot-path collector bound to one parser, installed as
+// one of its probe consumers. It is NOT safe for concurrent use —
+// exactly like the parser that owns it. All methods are cheap field
+// updates.
 type Recorder struct {
+	runtime.NopProbe
 	p      *Profile
 	c      counters
 	cyclic []bool // per decision: static class is cyclic
+}
+
+// Predict implements runtime.Probe.
+func (r *Recorder) Predict(e runtime.Prediction) {
+	r.Prediction(e.Decision, e.Alt, e.K, e.Backtracked, e.Failed)
 }
 
 // Prediction records one prediction event: the lookahead depth k,
@@ -365,44 +373,40 @@ func (r *Recorder) Prediction(dec, alt, k int, backtracked, failed bool) {
 	}
 }
 
-// State marks a DFA state as visited during simulation.
-func (r *Recorder) State(dec, id int) {
-	if dec < 0 || dec >= len(r.c.Decisions) {
-		return
-	}
-	if sv := r.c.Decisions[dec].StatesVisited; id >= 0 && id < len(sv) {
-		sv[id] = true
-	}
-}
-
-// Edge counts one DFA transition taken during simulation.
-func (r *Recorder) Edge(dec int) {
-	if dec >= 0 && dec < len(r.c.Decisions) {
-		r.c.Decisions[dec].EdgesTaken++
-	}
-}
-
-// Speculation records one speculative sub-parse launched at a
-// decision: tokens consumed before the rewind, whether the speculation
-// matched, and the nesting depth it ran at.
-func (r *Recorder) Speculation(dec, consumed, depth int, ok bool) {
+// DFAState marks a DFA state as visited during simulation, counting the
+// transition that reached it.
+func (r *Recorder) DFAState(dec, id int, edge bool) {
 	if dec < 0 || dec >= len(r.c.Decisions) {
 		return
 	}
 	d := &r.c.Decisions[dec]
-	d.SpecEvents++
-	d.SpecTokens += int64(consumed)
-	if !ok {
-		d.WastedSpecEvents++
-		d.WastedSpecTokens += int64(consumed)
+	if edge {
+		d.EdgesTaken++
 	}
-	if depth > d.MaxSpecDepth {
-		d.MaxSpecDepth = depth
+	if id >= 0 && id < len(d.StatesVisited) {
+		d.StatesVisited[id] = true
 	}
 }
 
+// Speculate records one speculative sub-parse launched at a decision:
+// tokens consumed before the rewind, whether it matched, and the
+// nesting depth it ran at.
+func (r *Recorder) Speculate(e runtime.Speculation) {
+	if e.Decision < 0 || e.Decision >= len(r.c.Decisions) {
+		return
+	}
+	d := &r.c.Decisions[e.Decision]
+	d.SpecEvents++
+	d.SpecTokens += int64(e.Tokens)
+	if !e.OK {
+		d.WastedSpecEvents++
+		d.WastedSpecTokens += int64(e.Tokens)
+	}
+	d.MaxSpecDepth = max(d.MaxSpecDepth, e.Depth)
+}
+
 // Resync records one panic-mode recovery at a decision.
-func (r *Recorder) Resync(dec, deleted int) {
+func (r *Recorder) Resync(dec int, _ string, deleted int, _ bool) {
 	if dec < 0 || dec >= len(r.c.Decisions) {
 		return
 	}
@@ -411,15 +415,15 @@ func (r *Recorder) Resync(dec, deleted int) {
 	d.ResyncTokens += int64(deleted)
 }
 
-// Rule records one rule invocation.
-func (r *Recorder) Rule(idx int) {
+// EnterRule records one rule invocation.
+func (r *Recorder) EnterRule(idx int, _ string, _ int) {
 	if idx >= 0 && idx < len(r.c.Rules) {
 		r.c.Rules[idx].Invocations++
 	}
 }
 
 // Memo records one packrat-cache lookup for a rule.
-func (r *Recorder) Memo(idx int, hit bool) {
+func (r *Recorder) Memo(idx int, _ string, _, _ int, hit, _ bool) {
 	if idx < 0 || idx >= len(r.c.Rules) {
 		return
 	}
@@ -430,18 +434,20 @@ func (r *Recorder) Memo(idx int, hit bool) {
 	}
 }
 
-// EndParse records parse-level totals: tokens consumed and outcome.
-func (r *Recorder) EndParse(tokens int64, failed bool) {
-	r.c.Parses++
-	r.c.Tokens += tokens
-	if failed {
-		r.c.ParseErrors++
+// EndParse counts a full parse's tokens and outcome, then flushes.
+func (r *Recorder) EndParse(e runtime.ParseEnd) {
+	if !e.Fragment {
+		r.c.Parses++
+		r.c.Tokens += int64(e.Tokens)
+		if e.Err != nil {
+			r.c.ParseErrors++
+		}
 	}
+	r.Flush()
 }
 
-// Flush merges the recorder into its profile and clears it. The
-// interpreter calls it once per parse, so profile-lock contention is
-// one acquisition per parse, not per event.
+// Flush merges the recorder into its profile and clears it, so
+// profile-lock contention is one acquisition per parse, not per event.
 func (r *Recorder) Flush() {
 	r.p.mu.Lock()
 	r.p.c.add(&r.c)

@@ -3,11 +3,22 @@ package cover
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"llstar/internal/runtime"
 )
+
+// failedIf returns a parse error when failed.
+func failedIf(failed bool) error {
+	if failed {
+		return errors.New("parse failed")
+	}
+	return nil
+}
 
 func testMeta() Meta {
 	return Meta{
@@ -30,19 +41,19 @@ func TestRecorderFlushSnapshot(t *testing.T) {
 	r.Prediction(1, 2, 5, false, false) // cyclic class
 	r.Prediction(2, 1, 2, true, false)  // backtracked
 	r.Prediction(2, 0, 2, true, true)   // failed
-	r.State(0, 0)
-	r.State(0, 2)
-	r.Edge(0)
-	r.Edge(0)
-	r.Speculation(2, 10, 1, false)
-	r.Speculation(2, 4, 2, true)
-	r.Resync(1, 3)
-	r.Rule(0)
-	r.Rule(0)
-	r.Rule(2)
-	r.Memo(2, true)
-	r.Memo(2, false)
-	r.EndParse(42, false)
+	r.DFAState(0, 0, false)
+	r.DFAState(0, 2, false)
+	r.DFAState(0, -1, true)
+	r.DFAState(0, -1, true)
+	r.Speculate(runtime.Speculation{Decision: 2, Tokens: 10, Depth: 1, OK: false})
+	r.Speculate(runtime.Speculation{Decision: 2, Tokens: 4, Depth: 2, OK: true})
+	r.Resync(1, "", 3, true)
+	r.EnterRule(0, "", 0)
+	r.EnterRule(0, "", 0)
+	r.EnterRule(2, "", 0)
+	r.Memo(2, "", 0, 1, true, false)
+	r.Memo(2, "", 0, 1, false, false)
+	r.EndParse(runtime.ParseEnd{Tokens: 42})
 	r.Flush()
 
 	s := p.Snapshot()
@@ -118,15 +129,15 @@ func TestMergeEqualsSum(t *testing.T) {
 				for i := 0; i < 50+w; i++ {
 					dec := (i + w) % 3
 					r.Prediction(dec, 1+i%2, 1+(i+w)%5, dec == 2, false)
-					r.State(dec, i%4)
-					r.Edge(dec)
+					r.DFAState(dec, i%4, false)
+					r.DFAState(dec, -1, true)
 					if dec == 2 {
-						r.Speculation(dec, i%9, 1, i%2 == 0)
+						r.Speculate(runtime.Speculation{Decision: dec, Tokens: i % 9, Depth: 1, OK: i%2 == 0})
 					}
-					r.Rule(dec)
-					r.Memo(dec, i%3 == 0)
+					r.EnterRule(dec, "", 0)
+					r.Memo(dec, "", 0, 1, i%3 == 0, false)
 				}
-				r.EndParse(int64(100+w), w%2 == 0)
+				r.EndParse(runtime.ParseEnd{Tokens: 100 + w, Err: failedIf(w%2 == 0)})
 				r.Flush()
 			}
 			mu.Lock()
@@ -150,8 +161,8 @@ func TestResetClearsCountersKeepsShape(t *testing.T) {
 	p := NewProfile(testMeta())
 	r := p.NewRecorder()
 	r.Prediction(0, 1, 1, false, false)
-	r.State(1, 2)
-	r.EndParse(5, true)
+	r.DFAState(1, 2, false)
+	r.EndParse(runtime.ParseEnd{Tokens: 5, Err: failedIf(true)})
 	r.Flush()
 	p.Reset()
 	s := p.Snapshot()
@@ -174,13 +185,13 @@ func TestOutOfRangeEventsIgnored(t *testing.T) {
 	r.Prediction(-1, 1, 1, false, false)
 	r.Prediction(99, 1, 1, false, false)
 	r.Prediction(0, 99, 1, false, false) // alt out of range: counted, alt dropped
-	r.State(0, 99)
-	r.State(99, 0)
-	r.Edge(-5)
-	r.Speculation(42, 3, 1, false)
-	r.Resync(-1, 2)
-	r.Rule(99)
-	r.Memo(-1, true)
+	r.DFAState(0, 99, false)
+	r.DFAState(99, 0, false)
+	r.DFAState(-5, -1, true)
+	r.Speculate(runtime.Speculation{Decision: 42, Tokens: 3, Depth: 1, OK: false})
+	r.Resync(-1, "", 2, true)
+	r.EnterRule(99, "", 0)
+	r.Memo(-1, "", 0, 1, true, false)
 	r.Flush()
 	s := p.Snapshot()
 	if s.Decisions[0].Predictions != 1 || s.Decisions[0].AltsCovered() != 0 {
@@ -195,13 +206,13 @@ func TestReportAndHotspots(t *testing.T) {
 	p := NewProfile(testMeta())
 	r := p.NewRecorder()
 	r.Prediction(0, 1, 1, false, false)
-	r.State(0, 0)
+	r.DFAState(0, 0, false)
 	r.Prediction(2, 1, 3, true, false)
-	r.Speculation(2, 81, 1, false)
-	r.Speculation(2, 19, 1, true)
-	r.Rule(0)
-	r.Rule(2)
-	r.EndParse(100, false)
+	r.Speculate(runtime.Speculation{Decision: 2, Tokens: 81, Depth: 1, OK: false})
+	r.Speculate(runtime.Speculation{Decision: 2, Tokens: 19, Depth: 1, OK: true})
+	r.EnterRule(0, "", 0)
+	r.EnterRule(2, "", 0)
+	r.EndParse(runtime.ParseEnd{Tokens: 100})
 	r.Flush()
 	s := p.Snapshot()
 
@@ -260,7 +271,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	p := NewProfile(testMeta())
 	r := p.NewRecorder()
 	r.Prediction(0, 1, 2, false, false)
-	r.EndParse(7, false)
+	r.EndParse(runtime.ParseEnd{Tokens: 7})
 	r.Flush()
 	s := p.Snapshot()
 	b, err := json.Marshal(s)

@@ -10,6 +10,14 @@ import (
 	"llstar/internal/runtime"
 )
 
+// newProfiled returns a parser whose probe profiles into the returned
+// stats.
+func newProfiled(res *core.Result, opts Options) (*Parser, *runtime.ParseStats) {
+	st := NewStats(res)
+	opts.Probe = st.Probe()
+	return New(res, opts), st
+}
+
 func analyzeSrc(t *testing.T, src string) *core.Result {
 	t.Helper()
 	g, err := meta.Parse("test.g", src)
@@ -107,7 +115,7 @@ func TestBacktrackingParse(t *testing.T) {
 		{"- - - x", "(t - - - x)"},
 		{"- - - 5", "(t (e - (e - (e - (e 5)))))"},
 	} {
-		p := New(res, Options{BuildTree: true, CollectStats: true})
+		p, _ := newProfiled(res, Options{BuildTree: true})
 		tree, err := p.ParseString("t", tc.input)
 		if err != nil {
 			t.Errorf("parse %q: %v", tc.input, err)
@@ -121,11 +129,10 @@ func TestBacktrackingParse(t *testing.T) {
 
 func TestBacktrackingStats(t *testing.T) {
 	res := analyzeSrc(t, backtrackGrammar)
-	p := New(res, Options{CollectStats: true})
+	p, st := newProfiled(res, Options{})
 	if _, err := p.ParseString("t", "- - - - 5"); err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	st := p.Stats()
 	if st.TotalEvents() == 0 {
 		t.Fatal("no decision events recorded")
 	}
@@ -136,11 +143,11 @@ func TestBacktrackingStats(t *testing.T) {
 		t.Errorf("expected lookahead beyond 1 token, got max k=%d", st.MaxK())
 	}
 	// Simple inputs need only the first token.
-	p2 := New(res, Options{CollectStats: true})
+	p2, st2 := newProfiled(res, Options{})
 	if _, err := p2.ParseString("t", "x"); err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if got := p2.Stats().BacktrackEvents(); got != 0 {
+	if got := st2.BacktrackEvents(); got != 0 {
 		t.Errorf("input x should not backtrack, got %d events", got)
 	}
 }

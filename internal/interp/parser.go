@@ -8,16 +8,13 @@ package interp
 
 import (
 	"fmt"
-	"time"
 
 	"llstar/internal/atn"
 	"llstar/internal/core"
-	"llstar/internal/cover"
 	"llstar/internal/dfa"
 	"llstar/internal/grammar"
 	"llstar/internal/lexrt"
 	"llstar/internal/llk"
-	"llstar/internal/obs"
 	"llstar/internal/runtime"
 	"llstar/internal/token"
 )
@@ -27,16 +24,12 @@ type Options struct {
 	// Memoize enables the packrat cache for speculative parses. Nil means
 	// "use the grammar's memoize option".
 	Memoize *bool
-	// CollectStats enables per-decision profiling (Tables 2–4 data).
-	CollectStats bool
 	// BuildTree enables parse-tree construction.
 	BuildTree bool
 	// Hooks binds semantic predicates and actions.
 	Hooks runtime.Hooks
 	// State is the initial user state (the paper's S).
 	State any
-	// ErrorListener, if set, observes syntax errors when they surface.
-	ErrorListener runtime.ErrorListener
 	// ApproxK, when > 0, switches predictions to ANTLR-v2-style linear
 	// approximate LL(k) tables of that depth instead of LL(*) lookahead
 	// DFA; decisions the approximation cannot make speculate alternatives
@@ -49,31 +42,10 @@ type Options struct {
 	Recover bool
 	// MaxErrors caps collected errors in Recover mode (default 10).
 	MaxErrors int
-	// Tracer, if set, receives structured runtime events: parse and
-	// prediction spans (with throttle level and lookahead depth),
-	// speculation spans, predicate evaluations, memo hits/misses, and
-	// error-recovery resyncs. Nil (or obs.Nop) costs nothing.
-	Tracer obs.Tracer
-	// Flight, if set, is teed with Tracer: a second, typically
-	// request-scoped event sink (the flight recorder's ring buffer).
-	// Nil costs nothing — with neither Tracer nor Flight the runtime
-	// tracer is nil and every emission site is one nil check.
-	Flight obs.Tracer
-	// Metrics, if set, accumulates runtime counters and histograms
-	// (prediction events by throttle level, lookahead-depth
-	// distributions, speculation and memo activity).
-	Metrics *obs.Metrics
-	// Coverage, if set, is the shared destination for decision-level
-	// coverage counters: the parser records into a private recorder and
-	// merges it into this profile once per parse, so pooled and
-	// concurrent parsers accumulate into one aggregate. Nil costs one
-	// pointer check per instrumentation site.
-	Coverage *cover.Profile
-	// Listener, if set, receives SAX-style events (rule enter/exit,
-	// committed tokens) exactly where tree nodes are (or would be)
-	// built. Streaming sessions use it in place of BuildTree. Nil costs
-	// one pointer check per site.
-	Listener runtime.ParseListener
+	// Probe, if set, observes the parse loop (see runtime.Probe); join
+	// several consumers with runtime.JoinProbes. Nil costs one pointer
+	// check per instrumentation site.
+	Probe runtime.Probe
 	// Window enables sliding-window token retention: the stream drops
 	// retired tokens (and the memo table their verdicts) as the parse
 	// commits past them, bounding memory by grammar depth + lookahead
@@ -83,11 +55,11 @@ type Options struct {
 
 // Parser interprets an analyzed grammar. A Parser is reusable: every
 // ParseString/ParseTokens call resets the per-parse state (token stream,
-// memo table, speculation depth, stats, recovered errors) before
-// running, so one instance can serve many sequential parses — lazily
-// built approximate-LL(k) tables and the throttle cache carry over. It
-// is NOT safe for concurrent use; the analyzed core.Result it reads is
-// immutable, so any number of Parsers may share it across goroutines.
+// memo table, speculation depth, recovered errors) before running, so
+// one instance can serve many sequential parses — lazily built
+// approximate-LL(k) tables carry over. It is NOT safe for concurrent
+// use; the analyzed core.Result it reads is immutable, so any number of
+// Parsers may share it across goroutines.
 type Parser struct {
 	res  *core.Result
 	m    *atn.Machine
@@ -96,7 +68,6 @@ type Parser struct {
 
 	stream *runtime.TokenStream
 	memo   *runtime.MemoTable
-	stats  *runtime.ParseStats
 	spec   int // speculation nesting depth
 	ctx    runtime.Context
 
@@ -111,81 +82,47 @@ type Parser struct {
 	// errors collects recovered syntax errors (Recover mode).
 	errors []*runtime.SyntaxError
 
-	// tr is the normalized tracer (nil when tracing is off — the hot
-	// path gates on this single nil check) and mx the metrics registry.
-	// base is the construction-time tracer AttachTracer restores when a
-	// per-parse auxiliary sink detaches.
-	tr   obs.Tracer
-	base obs.Tracer
-	mx   *obs.Metrics
-	// cov is this parser's private coverage recorder (nil when coverage
-	// is off), flushed into Options.Coverage once per parse.
-	cov *cover.Recorder
-	// lsn is the SAX listener (nil when off — one nil check per site).
-	lsn runtime.ParseListener
-	// measureK enables the lookahead watermark bookkeeping in predict;
-	// set when any of stats, tracer, or metrics needs depth data.
-	measureK bool
-	// throttle caches each decision's static class name ("fixed",
-	// "cyclic", "backtrack") for event labeling; nil unless tr or mx.
-	throttle []string
+	// probe is the one instrumentation point of the parse loop (nil
+	// when nothing observes the parse).
+	probe runtime.Probe
 }
 
 // New returns a parser for an analyzed grammar.
 func New(res *core.Result, opts Options) *Parser {
-	p := &Parser{res: res, m: res.Machine, dfas: res.DFAs, opts: opts}
+	p := &Parser{res: res, m: res.Machine, dfas: res.DFAs, opts: opts, probe: opts.Probe}
 	if opts.ApproxK > 0 {
 		p.approx = make([]*llk.Tables, len(res.DFAs))
-	}
-	if opts.CollectStats {
-		p.stats = runtime.NewParseStats(len(res.DFAs))
-		for _, di := range res.Decisions {
-			if di.Class == core.ClassBacktrack {
-				p.stats.Decisions[di.Decision.ID].CanBacktrack = true
-			}
-		}
-	}
-	p.base = obs.Tee(opts.Tracer, opts.Flight)
-	p.tr = p.base
-	p.mx = opts.Metrics
-	p.lsn = opts.Listener
-	if opts.Coverage != nil {
-		p.cov = opts.Coverage.NewRecorder()
-	}
-	p.measureK = p.stats != nil || p.tr != nil || p.mx != nil || p.cov != nil
-	if p.tr != nil || p.mx != nil {
-		p.buildThrottle()
 	}
 	return p
 }
 
-// buildThrottle caches each decision's static class name for event
-// labeling.
-func (p *Parser) buildThrottle() {
-	p.throttle = make([]string, len(p.res.DFAs))
-	for _, di := range p.res.Decisions {
-		p.throttle[di.Decision.ID] = di.Class.String()
+// SetProbe replaces the parser's probe (nil removes it). The parse
+// service attaches a request's flight recorder to a pooled parser this
+// way. Call only between parses.
+func (p *Parser) SetProbe(probe runtime.Probe) { p.probe = probe }
+
+// NewStats returns an empty profile for res's decisions, with the ones
+// that can backtrack marked; install its Probe to fill it.
+func NewStats(res *core.Result) *runtime.ParseStats {
+	ps := runtime.NewParseStats(len(res.DFAs))
+	for _, di := range res.Decisions {
+		if di.Class == core.ClassBacktrack {
+			ps.Decisions[di.Decision.ID].CanBacktrack = true
+		}
 	}
+	return ps
 }
 
-// AttachTracer tees a per-parse auxiliary event sink (typically a
-// flight recorder ring) with the parser's construction-time tracer;
-// AttachTracer(nil) detaches it, restoring construction-time behavior
-// exactly — including the nil-tracer fast path. The server attaches a
-// request's recorder to a pooled parser this way and detaches before
-// returning it. Call only between parses: the tracer must not change
-// mid-parse.
-func (p *Parser) AttachTracer(aux obs.Tracer) {
-	p.tr = obs.Tee(p.base, aux)
-	if p.tr != nil && p.throttle == nil {
-		p.buildThrottle()
+// Throttles names each decision's static class ("fixed", "cyclic",
+// "backtrack"), by decision ID: the throttle label of runtime trace
+// events and metrics.
+func Throttles(res *core.Result) []string {
+	names := make([]string, len(res.DFAs))
+	for _, di := range res.Decisions {
+		names[di.Decision.ID] = di.Class.String()
 	}
-	p.measureK = p.stats != nil || p.tr != nil || p.mx != nil || p.cov != nil
+	return names
 }
-
-// Stats returns the profile of the most recent parse (nil unless
-// CollectStats was set; reset at the start of each parse).
-func (p *Parser) Stats() *runtime.ParseStats { return p.stats }
 
 // Errors returns the syntax errors recovered during the last parse
 // (Recover mode; empty otherwise).
@@ -206,17 +143,8 @@ func (p *Parser) report(se *runtime.SyntaxError) error {
 		return se
 	}
 	p.errors = append(p.errors, se)
-	if p.tr != nil {
-		p.tr.Emit(obs.Event{
-			Name: "error", Cat: obs.PhaseRuntime, Ph: obs.PhInstant, TS: p.tr.Now(),
-			Decision: -1, Rule: se.Rule, Detail: se.Msg, N: int64(se.Offending.Index),
-		})
-	}
-	if p.mx != nil {
-		p.mx.Counter("llstar_syntax_errors_total").Inc()
-	}
-	if p.opts.ErrorListener != nil {
-		p.opts.ErrorListener(se)
+	if p.probe != nil {
+		p.probe.SyntaxError(se)
 	}
 	if len(p.errors) >= p.maxErrors() {
 		return se
@@ -261,16 +189,14 @@ func (p *Parser) ParseTokens(startRule string, stream *runtime.TokenStream) (*No
 	p.deepestIdx = -1
 	p.deepestErr = nil
 	p.errors = nil
-	p.stats.Reset()
 	p.ctx = runtime.Context{Stream: stream, State: p.opts.State}
+	if p.probe != nil {
+		p.probe.BeginParse(false)
+	}
 
 	var holder *Node
 	if p.opts.BuildTree {
 		holder = &Node{}
-	}
-	var parseT0 time.Duration
-	if p.tr != nil {
-		parseT0 = p.tr.Now()
 	}
 	err := p.parseRule(idx, 0, holder)
 	if err == nil && stream.LA(1) != token.EOF {
@@ -279,57 +205,15 @@ func (p *Parser) ParseTokens(startRule string, stream *runtime.TokenStream) (*No
 			err = rerr
 		}
 	}
-	if p.stats != nil && p.memo != nil {
-		p.stats.MemoEntries = p.memo.Entries()
-		p.stats.MemoHits = p.memo.Hits()
-		p.stats.MemoMisses = p.memo.Misses()
-		p.stats.MemoStores = p.memo.Stores()
-	}
-	// In recover mode every syntax error was already instrumented by
-	// report; here only the terminal error of a non-recovering parse
-	// still needs an event.
-	if err != nil && !p.opts.Recover {
-		if se, ok := err.(*runtime.SyntaxError); ok {
-			if p.tr != nil {
-				p.tr.Emit(obs.Event{
-					Name: "error", Cat: obs.PhaseRuntime, Ph: obs.PhInstant, TS: p.tr.Now(),
-					Decision: -1, Rule: se.Rule, Detail: se.Msg, N: int64(se.Offending.Index),
-				})
-			}
-			if p.mx != nil {
-				p.mx.Counter("llstar_syntax_errors_total").Inc()
-			}
+	if p.probe != nil {
+		// In recover mode report already announced every syntax error;
+		// only the terminal error of a non-recovering parse is new here.
+		if se, ok := err.(*runtime.SyntaxError); ok && !p.opts.Recover {
+			p.probe.SyntaxError(se)
 		}
-	}
-	if p.tr != nil {
-		p.tr.Emit(obs.Event{
-			Name: "parse", Cat: obs.PhaseRuntime, Ph: obs.PhSpan,
-			TS: parseT0, Dur: p.tr.Now() - parseT0, Decision: -1,
-			Rule: startRule, OK: err == nil, N: int64(stream.Size()),
-		})
-	}
-	if p.mx != nil {
-		p.mx.Counter("llstar_parses_total").Inc()
-		if err != nil {
-			p.mx.Counter("llstar_parse_errors_total").Inc()
-		}
-		p.mx.Counter("llstar_tokens_total").Add(int64(stream.Size()))
-		if p.memo != nil {
-			p.mx.Counter("llstar_memo_hits_total").Add(int64(p.memo.Hits()))
-			p.mx.Counter("llstar_memo_misses_total").Add(int64(p.memo.Misses()))
-			p.mx.Counter("llstar_memo_stores_total").Add(int64(p.memo.Stores()))
-			p.mx.Gauge("llstar_memo_entries").Set(int64(p.memo.Entries()))
-		}
-	}
-	if p.cov != nil {
-		p.cov.EndParse(int64(stream.Size()), err != nil)
-		p.cov.Flush()
+		p.probe.EndParse(runtime.ParseEnd{Rule: startRule, Tokens: stream.Size(), Memo: p.memo, Err: err})
 	}
 	if err != nil {
-		// In recover mode every error already reached the listener.
-		if se, ok := err.(*runtime.SyntaxError); ok && p.opts.ErrorListener != nil && !p.opts.Recover {
-			p.opts.ErrorListener(se)
-		}
 		return nil, err
 	}
 	var root *Node
@@ -351,8 +235,8 @@ func (p *Parser) Memo() *runtime.MemoTable { return p.memo }
 // tree (when BuildTree is on) and the stream position after the rule.
 // memo, which may be nil, is used as the speculation cache — incremental
 // reparse passes a rebased table from a prior parse so verdicts outside
-// the damaged region are reused. The SAX listener is suppressed for the
-// duration: fragment reparses repair state, they do not replay events.
+// the damaged region are reused. The probe sees a fragment parse:
+// fragment reparses repair state, they do not replay committed events.
 func (p *Parser) ParseFragment(startRule string, stream *runtime.TokenStream, memo *runtime.MemoTable) (*Node, int, error) {
 	idx := p.m.RuleIndexByName(startRule)
 	if idx < 0 {
@@ -364,16 +248,18 @@ func (p *Parser) ParseFragment(startRule string, stream *runtime.TokenStream, me
 	p.deepestIdx = -1
 	p.deepestErr = nil
 	p.errors = nil
-	p.stats.Reset()
 	p.ctx = runtime.Context{Stream: stream, State: p.opts.State}
-	savedLsn := p.lsn
-	p.lsn = nil
+	if p.probe != nil {
+		p.probe.BeginParse(true)
+	}
 	var holder *Node
 	if p.opts.BuildTree {
 		holder = &Node{}
 	}
 	err := p.parseRule(idx, 0, holder)
-	p.lsn = savedLsn
+	if p.probe != nil {
+		p.probe.EndParse(runtime.ParseEnd{Rule: startRule, Fragment: true, Tokens: stream.Size(), Memo: memo, Err: err})
+	}
 	stop := stream.Index()
 	if err != nil {
 		return nil, stop, err
@@ -405,26 +291,15 @@ func (p *Parser) noteFailure(err *runtime.SyntaxError) {
 // argument (parameterized rules); parent receives the rule's tree node.
 func (p *Parser) parseRule(idx, arg int, parent *Node) error {
 	r := p.res.Grammar.Rules[idx]
-	if p.cov != nil {
-		p.cov.Rule(idx)
+	if p.probe != nil {
+		p.probe.EnterRule(idx, r.Name, p.spec)
 	}
 	memoizable := p.memo != nil && p.spec > 0 && r.Args == "" && r.OptionBool("memoize", true)
 	start := p.stream.Index()
 	if memoizable {
 		stop, ok := p.memo.Get(idx, start)
-		if p.cov != nil {
-			p.cov.Memo(idx, ok)
-		}
-		if p.tr != nil {
-			name := "memo.miss"
-			if ok {
-				name = "memo.hit"
-			}
-			p.tr.Emit(obs.Event{
-				Name: name, Cat: obs.PhaseRuntime, Ph: obs.PhInstant, TS: p.tr.Now(),
-				Decision: -1, Rule: r.Name, Depth: p.spec,
-				OK: ok && stop != runtime.MemoFailed, N: int64(start),
-			})
+		if p.probe != nil {
+			p.probe.Memo(idx, r.Name, start, p.spec, ok, ok && stop != runtime.MemoFailed)
 		}
 		if ok {
 			if stop == runtime.MemoFailed {
@@ -440,16 +315,9 @@ func (p *Parser) parseRule(idx, arg int, parent *Node) error {
 		node = &Node{Rule: r.Name}
 		parent.Children = append(parent.Children, node)
 	}
-	// The listener mirrors tree construction: at spec==0 a node is
-	// always built when BuildTree is on, so firing on spec==0 alone
-	// yields the identical rule structure with trees off.
-	if p.lsn != nil && p.spec == 0 {
-		p.lsn.EnterRule(r.Name)
-	}
-
 	err := p.walk(p.m.RuleStart[idx], p.m.RuleStop[idx], &frame{rule: r, arg: arg, node: node})
-	if p.lsn != nil && p.spec == 0 {
-		p.lsn.ExitRule(r.Name)
+	if p.probe != nil {
+		p.probe.ExitRule(idx, r.Name, p.spec)
 	}
 	if memoizable {
 		if err != nil {

@@ -2,13 +2,12 @@ package interp
 
 import (
 	"fmt"
-	"strconv"
-	"time"
 
 	"llstar/internal/atn"
 	"llstar/internal/dfa"
+	"llstar/internal/grammar"
 	"llstar/internal/llk"
-	"llstar/internal/obs"
+	"llstar/internal/runtime"
 )
 
 // predict chooses an alternative at a decision point: it simulates the
@@ -25,15 +24,12 @@ func (p *Parser) predict(dec *atn.Decision, fr *frame) (int, error) {
 	}
 
 	// Lookahead-depth measurement costs a watermark reset per decision
-	// event; skip it entirely when not profiling.
+	// event; skip it entirely when nothing observes the parse.
 	var startIdx, savedHigh int
-	if p.measureK {
+	if p.probe != nil {
 		startIdx = p.stream.Index()
 		savedHigh = p.stream.WatermarkReset()
-	}
-	var predT0 time.Duration
-	if p.tr != nil {
-		predT0 = p.tr.Now()
+		p.probe.BeginPredict()
 	}
 
 	backtracked := false
@@ -45,41 +41,16 @@ func (p *Parser) predict(dec *atn.Decision, fr *frame) (int, error) {
 		alt, err = p.simulate(d, dec, fr, &backtracked)
 	}
 
-	if p.measureK {
+	if p.probe != nil {
 		k := 0
 		if wm := p.stream.Watermark(); wm >= startIdx {
 			k = wm - startIdx + 1
 		}
 		p.stream.ExtendWatermark(savedHigh)
-		if p.stats != nil {
-			btk := 0
-			if backtracked {
-				btk = k
-			}
-			p.stats.Record(dec.ID, k, backtracked, btk)
-		}
-		// Coverage shares the stats gate, so per-decision strategy counts
-		// sum to exactly ParseStats.TotalEvents().
-		if p.cov != nil {
-			p.cov.Prediction(dec.ID, alt, k, backtracked, err != nil)
-		}
-		if p.tr != nil {
-			p.tr.Emit(obs.Event{
-				Name: "predict", Cat: obs.PhaseRuntime, Ph: obs.PhSpan,
-				TS: predT0, Dur: p.tr.Now() - predT0,
-				Decision: dec.ID, Rule: fr.rule.Name, Alt: alt,
-				K: k, Depth: p.spec, Throttle: p.throttle[dec.ID],
-				Backtracked: backtracked, OK: err == nil,
-			})
-		}
-		if p.mx != nil {
-			p.mx.Counter(obs.Label("llstar_predict_events_total", "throttle", p.throttle[dec.ID])).Inc()
-			p.mx.Histogram("llstar_lookahead_depth").Observe(int64(k))
-			p.mx.Histogram(obs.Label("llstar_lookahead_depth", "decision", strconv.Itoa(dec.ID))).Observe(int64(k))
-			if backtracked {
-				p.mx.Counter("llstar_predict_backtrack_total").Inc()
-			}
-		}
+		p.probe.Predict(runtime.Prediction{
+			Decision: dec.ID, Rule: fr.rule.Name, Alt: alt, K: k, Depth: p.spec,
+			Backtracked: backtracked, Failed: err != nil,
+		})
 	}
 	return alt, err
 }
@@ -87,8 +58,8 @@ func (p *Parser) predict(dec *atn.Decision, fr *frame) (int, error) {
 func (p *Parser) simulate(d *dfa.DFA, dec *atn.Decision, fr *frame, backtracked *bool) (int, error) {
 	s := d.Start
 	i := 0
-	if p.cov != nil {
-		p.cov.State(dec.ID, s.ID)
+	if p.probe != nil {
+		p.probe.DFAState(dec.ID, s.ID, false)
 	}
 	for {
 		if s.AcceptAlt > 0 {
@@ -101,9 +72,8 @@ func (p *Parser) simulate(d *dfa.DFA, dec *atn.Decision, fr *frame, backtracked 
 		if next != nil {
 			i++
 			s = next
-			if p.cov != nil {
-				p.cov.Edge(dec.ID)
-				p.cov.State(dec.ID, s.ID)
+			if p.probe != nil {
+				p.probe.DFAState(dec.ID, s.ID, true)
 			}
 			continue
 		}
@@ -194,76 +164,35 @@ func (p *Parser) approxPredict(dec *atn.Decision, fr *frame, backtracked *bool) 
 // backtracking): parse from its left edge to the decision's join point
 // with mutators off, then rewind.
 func (p *Parser) specAlt(dec *atn.Decision, alt int, fr *frame) bool {
-	start := p.stream.Index()
-	var t0 time.Duration
-	if p.tr != nil {
-		t0 = p.tr.Now()
-	}
-	p.spec++
-	err := p.walk(dec.AltStart[alt-1], dec.End, &frame{rule: dec.Rule, arg: fr.arg})
-	p.spec--
-	consumed := p.stream.Index() - start
-	p.stream.Seek(start)
-	if p.cov != nil {
-		p.cov.Speculation(dec.ID, consumed, p.spec+1, err == nil)
-	}
-	if p.tr != nil {
-		p.tr.Emit(obs.Event{
-			Name: "speculate.alt", Cat: obs.PhaseRuntime, Ph: obs.PhSpan,
-			TS: t0, Dur: p.tr.Now() - t0,
-			Decision: dec.ID, Rule: dec.Rule.Name, Alt: alt,
-			K: consumed, Depth: p.spec + 1, OK: err == nil,
-		})
-	}
-	if p.mx != nil {
-		p.recordSpeculation(consumed, err == nil)
-	}
-	return err == nil
+	return p.speculate(dec.AltStart[alt-1], dec.End, dec.Rule, fr.arg,
+		runtime.Speculation{Decision: dec.ID, SynPred: -1, Alt: alt})
 }
 
 // specSynPred speculatively matches an explicit syntactic predicate
 // fragment (α)=>. dec is the decision whose prediction launched the
-// speculation, for coverage attribution.
+// speculation.
 func (p *Parser) specSynPred(id int, dec *atn.Decision, fr *frame) bool {
 	def := p.m.SynPreds[id]
+	return p.speculate(def.Start, def.Stop, def.Rule, fr.arg,
+		runtime.Speculation{Decision: dec.ID, SynPred: id})
+}
+
+// speculate walks from..to inside rule one speculation level deeper,
+// rewinds, and reports whether the fragment matched; ev identifies the
+// speculation to the probe.
+func (p *Parser) speculate(from, to *atn.State, rule *grammar.Rule, arg int, ev runtime.Speculation) bool {
 	start := p.stream.Index()
-	var t0 time.Duration
-	if p.tr != nil {
-		t0 = p.tr.Now()
+	if p.probe != nil {
+		p.probe.BeginSpeculate()
 	}
 	p.spec++
-	err := p.walk(def.Start, def.Stop, &frame{rule: def.Rule, arg: fr.arg})
+	err := p.walk(from, to, &frame{rule: rule, arg: arg})
 	p.spec--
 	consumed := p.stream.Index() - start
 	p.stream.Seek(start)
-	if p.cov != nil {
-		p.cov.Speculation(dec.ID, consumed, p.spec+1, err == nil)
-	}
-	if p.tr != nil {
-		p.tr.Emit(obs.Event{
-			Name: "speculate.synpred", Cat: obs.PhaseRuntime, Ph: obs.PhSpan,
-			TS: t0, Dur: p.tr.Now() - t0,
-			Decision: -1, Rule: def.Rule.Name, Alt: id,
-			K: consumed, Depth: p.spec + 1, OK: err == nil,
-		})
-	}
-	if p.mx != nil {
-		p.mx.Counter(obs.Label("llstar_synpred_evals_total", "result", specResult(err == nil))).Inc()
-		p.recordSpeculation(consumed, err == nil)
+	if p.probe != nil {
+		ev.Rule, ev.Tokens, ev.Depth, ev.OK = rule.Name, consumed, p.spec+1, err == nil
+		p.probe.Speculate(ev)
 	}
 	return err == nil
-}
-
-// recordSpeculation updates the speculation counters and depth
-// histogram (tokens consumed before rewinding).
-func (p *Parser) recordSpeculation(consumed int, ok bool) {
-	p.mx.Counter(obs.Label("llstar_speculations_total", "result", specResult(ok))).Inc()
-	p.mx.Histogram("llstar_speculation_depth").Observe(int64(consumed))
-}
-
-func specResult(ok bool) string {
-	if ok {
-		return "match"
-	}
-	return "fail"
 }

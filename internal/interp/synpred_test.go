@@ -30,7 +30,7 @@ func TestExplicitSynPredAtRuntime(t *testing.T) {
 		{"x = 1", "(s (target x) = 1)"},
 		{"x", "(s (target x))"},
 	} {
-		p := New(res, Options{BuildTree: true, CollectStats: true})
+		p, _ := newProfiled(res, Options{BuildTree: true})
 		tree, err := p.ParseString("s", tc.input)
 		if err != nil {
 			t.Errorf("parse %q: %v", tc.input, err)
@@ -67,7 +67,7 @@ WS : (' ')+ { skip(); } ;
 		{"b", false},
 	} {
 		for _, k := range []int{1, 2} {
-			p := New(res, Options{ApproxK: k, CollectStats: true})
+			p, _ := newProfiled(res, Options{ApproxK: k})
 			_, err := p.ParseString("s", tc.input)
 			if (err == nil) != tc.ok {
 				t.Errorf("k=%d input %q: err=%v, want ok=%v", k, tc.input, err, tc.ok)
@@ -75,16 +75,16 @@ WS : (' ')+ { skip(); } ;
 		}
 	}
 	// The approximation must speculate more than LL(*) on this grammar.
-	p := New(res, Options{ApproxK: 1, CollectStats: true})
+	p, v2 := newProfiled(res, Options{ApproxK: 1})
 	if _, err := p.ParseString("s", "a a c"); err != nil {
 		t.Fatal(err)
 	}
-	v2Specs := p.Stats().BacktrackEvents()
-	pStar := New(res, Options{CollectStats: true})
+	v2Specs := v2.BacktrackEvents()
+	pStar, star := newProfiled(res, Options{})
 	if _, err := pStar.ParseString("s", "a a c"); err != nil {
 		t.Fatal(err)
 	}
-	if starSpecs := pStar.Stats().BacktrackEvents(); v2Specs <= starSpecs {
+	if starSpecs := star.BacktrackEvents(); v2Specs <= starSpecs {
 		t.Errorf("v2 should speculate more: v2=%d ll(*)=%d", v2Specs, starSpecs)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"llstar/internal/atn"
-	"llstar/internal/obs"
 	"llstar/internal/runtime"
 	"llstar/internal/token"
 )
@@ -146,17 +145,8 @@ func (p *Parser) recoverPredict(dec *atn.Decision, fr *frame, err error) (int, e
 // noteResync records one panic-mode resynchronization (tokens deleted
 // until a viable alternative, or until EOF on failure).
 func (p *Parser) noteResync(dec *atn.Decision, fr *frame, deleted int, ok bool) {
-	if p.tr != nil {
-		p.tr.Emit(obs.Event{
-			Name: "resync", Cat: obs.PhaseRuntime, Ph: obs.PhInstant, TS: p.tr.Now(),
-			Decision: dec.ID, Rule: fr.rule.Name, OK: ok, N: int64(deleted),
-		})
-	}
-	if p.mx != nil {
-		p.mx.Counter("llstar_error_resyncs_total").Inc()
-	}
-	if p.cov != nil {
-		p.cov.Resync(dec.ID, deleted)
+	if p.probe != nil {
+		p.probe.Resync(dec.ID, fr.rule.Name, deleted, ok)
 	}
 }
 
@@ -169,8 +159,8 @@ func (p *Parser) consume(t token.Token, fr *frame) {
 		if fr.node != nil {
 			fr.node.Children = append(fr.node.Children, &Node{Token: &tok})
 		}
-		if p.lsn != nil {
-			p.lsn.Token(tok)
+		if p.probe != nil {
+			p.probe.Token(tok)
 		}
 		// Committed past this token: in windowed mode release the
 		// retired prefix and its now-unreachable memo verdicts.
@@ -205,26 +195,8 @@ func (p *Parser) evalSemPred(text string, fr *frame) (bool, error) {
 	p.ctx.Speculating = p.spec > 0
 	p.ctx.Arg = fr.arg
 	ok, err := p.opts.Hooks.EvalPred(text, &p.ctx)
-	if p.tr != nil {
-		detail := text
-		if err != nil {
-			detail = text + ": " + err.Error()
-		}
-		p.tr.Emit(obs.Event{
-			Name: "sempred", Cat: obs.PhaseRuntime, Ph: obs.PhInstant, TS: p.tr.Now(),
-			Decision: -1, Rule: fr.rule.Name, Depth: p.spec,
-			OK: ok, Detail: detail,
-		})
-	}
-	if p.mx != nil {
-		result := "true"
-		switch {
-		case err != nil:
-			result = "error"
-		case !ok:
-			result = "false"
-		}
-		p.mx.Counter(obs.Label("llstar_sempred_evals_total", "result", result)).Inc()
+	if p.probe != nil {
+		p.probe.SemPred(fr.rule.Name, text, p.spec, ok, err)
 	}
 	return ok, err
 }

@@ -126,32 +126,3 @@ func Active(t Tracer) Tracer {
 	}
 	return t
 }
-
-// teeTracer fans events to two sinks. The primary's clock timestamps
-// events, so teeing a request-scoped sink (e.g. a flight recorder)
-// onto a process-wide trace writer keeps the writer's timeline intact.
-type teeTracer struct {
-	primary, secondary Tracer
-}
-
-func (t teeTracer) Emit(e Event) {
-	t.primary.Emit(e)
-	t.secondary.Emit(e)
-}
-
-func (t teeTracer) Now() time.Duration { return t.primary.Now() }
-
-// Tee combines two tracers: events reach both, and the primary's Now
-// wins. Either side may be nil (or Nop); with one active side the
-// other is elided entirely, and with neither Tee returns nil — so
-// hot-path nil-check gating keeps working unchanged.
-func Tee(primary, secondary Tracer) Tracer {
-	primary, secondary = Active(primary), Active(secondary)
-	switch {
-	case primary == nil:
-		return secondary
-	case secondary == nil:
-		return primary
-	}
-	return teeTracer{primary: primary, secondary: secondary}
-}

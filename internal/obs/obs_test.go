@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"llstar/internal/runtime"
 )
 
 func TestActiveNormalizesNop(t *testing.T) {
@@ -150,7 +152,7 @@ func TestWriterAfterClose(t *testing.T) {
 	}
 }
 
-// collector is a minimal Tracer for Tee tests with a fixed clock.
+// collector is a minimal Tracer for TraceProbe tests with a fixed clock.
 type collector struct {
 	events []Event
 	now    time.Duration
@@ -159,36 +161,39 @@ type collector struct {
 func (c *collector) Emit(e Event)       { c.events = append(c.events, e) }
 func (c *collector) Now() time.Duration { return c.now }
 
-func TestTee(t *testing.T) {
+// TestTraceProbeSinks: the trace consumer fans events out to its tracer
+// and flight recorder, stamps them with the tracer's clock, and is
+// inactive with neither (Nop counts as none).
+func TestTraceProbeSinks(t *testing.T) {
 	a := &collector{now: 100}
 	b := &collector{now: 200}
 
-	// Both sides active: events fan out, the primary's clock wins.
-	tee := Tee(a, b)
-	tee.Emit(Event{Name: "x"})
+	tp := NewTraceProbe(a, []string{"fixed"})
+	tp.SetFlight(b)
+	tp.BeginParse(false)
+	tp.BeginPredict()
+	tp.Predict(runtime.Prediction{Decision: 0, K: 1})
 	if len(a.events) != 1 || len(b.events) != 1 {
 		t.Errorf("fan-out: a=%d b=%d", len(a.events), len(b.events))
 	}
-	if tee.Now() != 100 {
-		t.Errorf("Now = %v, want primary's 100", tee.Now())
+	if e := b.events[0]; e.Name != "predict" || e.Throttle != "fixed" {
+		t.Errorf("flight event = %+v", e)
+	}
+	if tp.Now() != 100 {
+		t.Errorf("Now = %v, want the tracer's 100", tp.Now())
 	}
 
-	// One side nil or Nop: the other is returned unwrapped.
-	if got := Tee(a, nil); got != Tracer(a) {
-		t.Errorf("Tee(a, nil) = %T, want a itself", got)
+	// Flight only: its clock stamps events.
+	solo := NewTraceProbe(Nop, nil)
+	if solo.Active() {
+		t.Error("Nop tracer made the probe active")
 	}
-	if got := Tee(nil, b); got != Tracer(b) {
-		t.Errorf("Tee(nil, b) = %T, want b itself", got)
+	solo.SetFlight(b)
+	if !solo.Active() || solo.Now() != 200 {
+		t.Errorf("flight-only probe: active=%v now=%v", solo.Active(), solo.Now())
 	}
-	if got := Tee(a, Nop); got != Tracer(a) {
-		t.Errorf("Tee(a, Nop) = %T, want a itself", got)
-	}
-
-	// Neither active: nil, preserving hot-path nil-check gating.
-	if got := Tee(nil, nil); got != nil {
-		t.Errorf("Tee(nil, nil) = %v, want nil", got)
-	}
-	if got := Tee(Nop, Nop); got != nil {
-		t.Errorf("Tee(Nop, Nop) = %v, want nil", got)
+	solo.SetFlight(nil)
+	if solo.Active() {
+		t.Error("detached probe still active")
 	}
 }

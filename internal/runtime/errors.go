@@ -45,3 +45,13 @@ func (e *LexError) Error() string {
 // it before attempting recovery. A nil listener means errors are only
 // returned.
 type ErrorListener func(*SyntaxError)
+
+// Probe returns the consumer delivering SyntaxError events to l.
+func (l ErrorListener) Probe() Probe { return errorProbe{fn: l} }
+
+type errorProbe struct {
+	NopProbe
+	fn ErrorListener
+}
+
+func (e errorProbe) SyntaxError(se *SyntaxError) { e.fn(se) }

@@ -73,6 +73,33 @@ func (ps *ParseStats) Record(decision, k int, backtracked bool, backtrackK int) 
 	}
 }
 
+// Probe returns the consumer that profiles parses into ps: each parse
+// starts from a reset profile and records every prediction, and a full
+// parse ends by copying its memo-table totals.
+func (ps *ParseStats) Probe() Probe { return statsProbe{ps: ps} }
+
+type statsProbe struct {
+	NopProbe
+	ps *ParseStats
+}
+
+func (s statsProbe) BeginParse(bool) { s.ps.Reset() }
+
+func (s statsProbe) Predict(e Prediction) {
+	btk := 0
+	if e.Backtracked {
+		btk = e.K
+	}
+	s.ps.Record(e.Decision, e.K, e.Backtracked, btk)
+}
+
+func (s statsProbe) EndParse(e ParseEnd) {
+	if m := e.Memo; m != nil && !e.Fragment {
+		s.ps.MemoEntries, s.ps.MemoHits = m.Entries(), m.Hits()
+		s.ps.MemoMisses, s.ps.MemoStores = m.Misses(), m.Stores()
+	}
+}
+
 // TotalEvents sums decision events.
 func (ps *ParseStats) TotalEvents() int {
 	n := 0

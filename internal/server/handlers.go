@@ -44,14 +44,21 @@ func (s *Server) newFlightRun(w http.ResponseWriter, endpoint, grammar string) *
 	if s.flight == nil {
 		return nil
 	}
+	// The middleware already read the ids; reuse them rather than call
+	// Header, which writes response state and so races between the
+	// goroutines of one /v1/batch request.
+	sw, ok := w.(*statusWriter)
+	if !ok {
+		sw = &statusWriter{reqID: w.Header().Get(requestIDHeader), traceID: traceIDFrom(w.Header().Get(traceparentHeader))}
+	}
 	rec := s.fpool.Get().(*flight.Recorder)
 	rec.Reset()
 	return &flightRun{
 		rec:      rec,
 		endpoint: endpoint,
 		grammar:  grammar,
-		reqID:    w.Header().Get(requestIDHeader),
-		traceID:  traceIDFrom(w.Header().Get(traceparentHeader)),
+		reqID:    sw.reqID,
+		traceID:  sw.traceID,
 		span:     randHex(16),
 		start:    time.Now(),
 		pooled:   true,
@@ -294,8 +301,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				// Each item gets its own flight run — own event ring,
 				// own child span id under the request's trace — so an
 				// anomalous item captures alone and a by-trace lookup
-				// distinguishes the items. Reading w's header map here
-				// is safe: the response is not written until wg.Wait.
+				// distinguishes the items.
 				fr := s.newFlightRun(w, "batch", it.Grammar)
 				var it0 time.Duration
 				if s.tr != nil {

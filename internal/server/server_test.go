@@ -417,10 +417,11 @@ func TestPanicRecovery(t *testing.T) {
 
 // TestGracefulDrain proves the SIGTERM path: with a request in flight,
 // StartDrain flips /readyz to 503 and http.Server.Shutdown waits for
-// the request to complete successfully before returning.
+// the request to complete successfully before returning. The request
+// is held in flight deterministically: its body streams through a pipe
+// that stays open until drain and shutdown have begun.
 func TestGracefulDrain(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxBodyBytes: 16 << 20, RequestTimeout: time.Minute},
-		map[string]string{"json": jsonGrammar})
+	s, _ := newTestServer(t, Config{RequestTimeout: time.Minute}, map[string]string{"json": jsonGrammar})
 	if err := s.Preload("json"); err != nil {
 		t.Fatal(err)
 	}
@@ -430,22 +431,27 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	hs := &http.Server{Handler: s.Handler()}
 	go hs.Serve(ln)
-	url := "http://" + ln.Addr().String()
 
+	body, bodyW := io.Pipe()
 	var status atomic.Int64
 	var done sync.WaitGroup
 	done.Add(1)
 	go func() {
 		defer done.Done()
-		resp, body := postJSON(t, http.DefaultClient, url+"/v1/parse",
-			parseRequest{Grammar: "json", Input: bigJSONInput(400_000)})
+		resp, err := http.Post("http://"+ln.Addr().String()+"/v1/parse", "application/json", body)
+		if err != nil {
+			t.Errorf("in-flight request: %v", err)
+			return
+		}
+		defer resp.Body.Close()
 		status.Store(int64(resp.StatusCode))
 		if resp.StatusCode != 200 {
-			t.Errorf("in-flight request failed during drain: %d %s", resp.StatusCode, body[:min(len(body), 200)])
+			msg, _ := io.ReadAll(resp.Body)
+			t.Errorf("in-flight request failed during drain: %d %s", resp.StatusCode, msg)
 		}
 	}()
 
-	// Wait until the request holds its in-flight slot.
+	// The request holds its in-flight slot while its body is still open.
 	deadline := time.Now().Add(5 * time.Second)
 	for s.InFlight() == 0 {
 		if time.Now().After(deadline) {
@@ -463,7 +469,19 @@ func TestGracefulDrain(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
+	shut := make(chan error, 1)
+	go func() { shut <- hs.Shutdown(ctx) }()
+	select {
+	case err := <-shut:
+		t.Fatalf("shutdown returned with a request in flight: %v", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	if _, err := io.WriteString(bodyW, `{"grammar": "json", "input": "[1, 2, {\"a\": true}]"}`); err != nil {
+		t.Fatal(err)
+	}
+	bodyW.Close()
+	if err := <-shut; err != nil {
 		t.Fatalf("shutdown did not drain cleanly: %v", err)
 	}
 	done.Wait()

@@ -112,11 +112,7 @@ func (s *Session) Edit(e Edit) (err error) {
 	}
 	s.clean = true
 	s.err = nil
-	if st := s.ip.Stats(); st != nil {
-		if k := st.MaxK(); k > s.maxK {
-			s.maxK = k
-		}
-	}
+	s.maxK = max(s.maxK, s.sink.maxK)
 	return nil
 }
 
@@ -603,11 +599,7 @@ func (s *Session) rebuildAll(newText []byte) error {
 	s.clean = true
 	s.aliased = false
 	s.err = nil
-	if st := s.ip.Stats(); st != nil {
-		if k := st.MaxK(); k > s.maxK {
-			s.maxK = k
-		}
-	}
+	s.maxK = max(s.maxK, s.sink.maxK)
 	return nil
 }
 

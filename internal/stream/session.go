@@ -96,8 +96,9 @@ type Session struct {
 	err    error
 
 	stats      Stats
-	lastEvents int64 // events already flushed to metrics
-	tr         obs.Tracer
+	sink       *sinkListener // the parser's probe consumer
+	lastEvents int64         // events already flushed to metrics
+	tr         obs.Tracer    // nil unless tracing or flight recording
 	mx         *obs.Metrics
 	t0         time.Duration
 
@@ -137,24 +138,25 @@ func New(res *core.Result, opts Options) (*Session, error) {
 		parked: make(chan struct{}),
 		wake:   make(chan struct{}),
 		doneCh: make(chan struct{}),
-		tr:     obs.Tee(opts.Tracer, opts.Flight),
 		mx:     opts.Metrics,
+	}
+	s.sink = &sinkListener{s: s}
+	probes := []runtime.Probe{s.sink}
+	throttle := interp.Throttles(res)
+	tp := obs.NewTraceProbe(opts.Tracer, throttle)
+	tp.SetFlight(opts.Flight)
+	if tp.Active() {
+		s.tr = tp
+		probes = append(probes, tp)
+	}
+	if opts.Metrics != nil {
+		probes = append(probes, obs.NewMetricsProbe(opts.Metrics, throttle))
 	}
 	memoize := true
 	iopts := interp.Options{
-		CollectStats: true,
-		Memoize:      &memoize,
-		Listener:     sinkListener{s},
-		Recover:      opts.Recover,
-		Tracer:       opts.Tracer,
-		Flight:       opts.Flight,
-		Metrics:      opts.Metrics,
-		ErrorListener: func(se *runtime.SyntaxError) {
-			s.stats.Errors++
-			s.emit(Event{Kind: KindSyntaxError, Err: &SyntaxError{
-				Offending: se.Offending, Rule: se.Rule, Msg: se.Msg,
-			}})
-		},
+		Memoize: &memoize,
+		Recover: opts.Recover,
+		Probe:   runtime.JoinProbes(probes...),
 	}
 	if opts.Incremental {
 		iopts.BuildTree = true
@@ -224,12 +226,44 @@ func (s *Session) emit(e Event) {
 	}
 }
 
-// sinkListener adapts the interpreter's ParseListener to the sink.
-type sinkListener struct{ s *Session }
+// sinkListener is the session's probe consumer: committed rule and
+// token events and syntax errors become sink events, and it keeps the
+// parse's deepest lookahead. Fragment reparses (Edit) repair the
+// retained state without replaying rule and token events; errors they
+// recover still surface.
+type sinkListener struct {
+	runtime.NopProbe
+	s        *Session
+	fragment bool
+	maxK     int // deepest lookahead of the current parse
+}
 
-func (l sinkListener) EnterRule(rule string) { l.s.emit(Event{Kind: KindRuleEnter, Rule: rule}) }
-func (l sinkListener) ExitRule(rule string)  { l.s.emit(Event{Kind: KindRuleExit, Rule: rule}) }
-func (l sinkListener) Token(t token.Token)   { l.s.emit(Event{Kind: KindToken, Token: t}) }
+func (l *sinkListener) BeginParse(fragment bool) { l.fragment, l.maxK = fragment, 0 }
+
+func (l *sinkListener) Predict(e runtime.Prediction) { l.maxK = max(l.maxK, e.K) }
+
+func (l *sinkListener) EnterRule(_ int, rule string, depth int) {
+	if depth == 0 && !l.fragment {
+		l.s.emit(Event{Kind: KindRuleEnter, Rule: rule})
+	}
+}
+
+func (l *sinkListener) ExitRule(_ int, rule string, depth int) {
+	if depth == 0 && !l.fragment {
+		l.s.emit(Event{Kind: KindRuleExit, Rule: rule})
+	}
+}
+
+func (l *sinkListener) Token(t token.Token) {
+	if !l.fragment {
+		l.s.emit(Event{Kind: KindToken, Token: t})
+	}
+}
+
+func (l *sinkListener) SyntaxError(se *runtime.SyntaxError) {
+	l.s.stats.Errors++
+	l.s.emit(Event{Kind: KindSyntaxError, Err: &SyntaxError{Offending: se.Offending, Rule: se.Rule, Msg: se.Msg}})
+}
 
 func (s *Session) flushEventCount() {
 	if s.mx != nil && s.stats.Events > s.lastEvents {
@@ -301,11 +335,7 @@ func (s *Session) Finish() error {
 // Edit needs.
 func (s *Session) finishStats() {
 	s.stats.Tokens = s.ts.Size()
-	if st := s.ip.Stats(); st != nil {
-		if k := st.MaxK(); k > s.maxK {
-			s.maxK = k
-		}
-	}
+	s.maxK = max(s.maxK, s.sink.maxK)
 	s.stats.MaxK = s.maxK
 	s.flushEventCount()
 	if s.opts.Incremental && s.tokens == nil {

@@ -497,46 +497,74 @@ func (g *Grammar) GenerateGo(pkg string) ([]byte, error) {
 type Parser struct {
 	g  *Grammar
 	ip *interp.Parser
+
+	// The parser's probe consumers: stats backs Stats (nil without
+	// WithStats), and trace — nil until a tracer or flight recorder is
+	// installed — serves both sinks. base joins every consumer but
+	// trace; traced adds trace.
+	stats        *Stats
+	trace        *obs.TraceProbe
+	base, traced runtime.Probe
 }
 
 // ParserOption configures NewParser.
-type ParserOption func(*interp.Options)
+type ParserOption func(*parserConfig)
+
+// parserConfig is what the options set: interpreter options plus the
+// probe consumers NewParser installs.
+type parserConfig struct {
+	interp.Options
+	stats         bool
+	tracer        Tracer
+	flight        Tracer
+	metrics       *Metrics
+	coverage      *CoverageProfile
+	errorListener func(*SyntaxError)
+}
+
+func configure(opts []ParserOption) parserConfig {
+	var c parserConfig
+	for _, fn := range opts {
+		fn(&c)
+	}
+	return c
+}
 
 // WithTree enables parse-tree construction.
-func WithTree() ParserOption { return func(o *interp.Options) { o.BuildTree = true } }
+func WithTree() ParserOption { return func(o *parserConfig) { o.BuildTree = true } }
 
 // WithStats enables runtime decision profiling.
-func WithStats() ParserOption { return func(o *interp.Options) { o.CollectStats = true } }
+func WithStats() ParserOption { return func(o *parserConfig) { o.stats = true } }
 
 // WithHooks binds semantic predicates and actions.
-func WithHooks(h Hooks) ParserOption { return func(o *interp.Options) { o.Hooks = h } }
+func WithHooks(h Hooks) ParserOption { return func(o *parserConfig) { o.Hooks = h } }
 
 // WithState sets the initial user state visible to predicates/actions.
-func WithState(s any) ParserOption { return func(o *interp.Options) { o.State = s } }
+func WithState(s any) ParserOption { return func(o *parserConfig) { o.State = s } }
 
 // WithMemoize overrides the grammar's memoize option.
 func WithMemoize(on bool) ParserOption {
-	return func(o *interp.Options) { v := on; o.Memoize = &v }
+	return func(o *parserConfig) { v := on; o.Memoize = &v }
 }
 
 // WithTracer streams structured runtime events (prediction spans with
 // throttle level and lookahead depth, speculation, memoization, error
 // recovery) to t. Passing nil or NopTracer() costs nothing.
-func WithTracer(t Tracer) ParserOption { return func(o *interp.Options) { o.Tracer = t } }
+func WithTracer(t Tracer) ParserOption { return func(o *parserConfig) { o.tracer = t } }
 
-// WithMetrics accumulates runtime counters and histograms into m; one
-// registry may be shared across parsers and with LoadOptions.Metrics.
-func WithMetrics(m *Metrics) ParserOption { return func(o *interp.Options) { o.Metrics = m } }
+// WithMetrics accumulates runtime counters and histograms into m, once
+// per parse; one registry may be shared across parsers and with
+// LoadOptions.Metrics.
+func WithMetrics(m *Metrics) ParserOption { return func(o *parserConfig) { o.metrics = m } }
 
-// WithFlightRecorder tees r — a bounded last-N-events ring — with any
-// tracer the parser has, composing with WithTracer in either order.
-// Passing nil installs nothing: the disabled flight recorder costs
-// exactly the nil-tracer fast path (a single nil check per
-// instrumentation site).
+// WithFlightRecorder records the parser's runtime trace events into r —
+// a bounded last-N-events ring — alongside any tracer the parser has,
+// composing with WithTracer in either order. Passing nil installs
+// nothing.
 func WithFlightRecorder(r *FlightRecorder) ParserOption {
-	return func(o *interp.Options) {
+	return func(o *parserConfig) {
 		if r != nil {
-			o.Flight = r
+			o.flight = r
 		}
 	}
 }
@@ -545,37 +573,73 @@ func WithFlightRecorder(r *FlightRecorder) ParserOption {
 // counters into p (create one with Grammar.NewCoverage). The parser
 // records into a private recorder and merges once per parse, so one
 // profile may be shared across parsers, pools, and goroutines. Nil
-// disables coverage at nil-check cost.
+// installs nothing.
 func WithCoverage(p *CoverageProfile) ParserOption {
-	return func(o *interp.Options) { o.Coverage = p }
+	return func(o *parserConfig) { o.coverage = p }
 }
 
 // WithApproxLLK switches to ANTLR-v2-style linear approximate LL(k)
 // prediction (the Section 6.2 baseline).
-func WithApproxLLK(k int) ParserOption { return func(o *interp.Options) { o.ApproxK = k } }
+func WithApproxLLK(k int) ParserOption { return func(o *parserConfig) { o.ApproxK = k } }
 
 // WithErrorListener observes syntax errors as they surface.
 func WithErrorListener(l func(*SyntaxError)) ParserOption {
-	return func(o *interp.Options) { o.ErrorListener = l }
+	return func(o *parserConfig) { o.errorListener = l }
 }
 
 // WithRecovery enables error recovery: failed matches try single-token
 // deletion/insertion and failed predictions resync, the parse continues,
 // and Errors() reports everything found (up to maxErrors; 0 means 10).
 func WithRecovery(maxErrors int) ParserOption {
-	return func(o *interp.Options) {
+	return func(o *parserConfig) {
 		o.Recover = true
 		o.MaxErrors = maxErrors
 	}
 }
 
-// NewParser returns a parser for the grammar.
+// NewParser returns a parser for the grammar. Every observing option
+// installs one consumer of the interpreter's probe; with none the probe
+// is nil and costs one nil check per instrumentation site.
 func (g *Grammar) NewParser(opts ...ParserOption) *Parser {
-	var o interp.Options
-	for _, fn := range opts {
-		fn(&o)
+	c := configure(opts)
+	p := &Parser{g: g}
+	var probes []runtime.Probe
+	if c.stats {
+		p.stats = interp.NewStats(g.res)
+		probes = append(probes, p.stats.Probe())
 	}
-	return &Parser{g: g, ip: interp.New(g.res, o)}
+	if c.coverage != nil {
+		probes = append(probes, c.coverage.NewRecorder())
+	}
+	if c.metrics != nil {
+		probes = append(probes, obs.NewMetricsProbe(c.metrics, interp.Throttles(g.res)))
+	}
+	if c.errorListener != nil {
+		probes = append(probes, runtime.ErrorListener(c.errorListener).Probe())
+	}
+	p.base = runtime.JoinProbes(probes...)
+	if obs.Active(c.tracer) != nil || c.flight != nil {
+		p.newTrace(c.tracer)
+		p.trace.SetFlight(c.flight)
+	}
+	c.Probe = p.probe()
+	p.ip = interp.New(g.res, c.Options)
+	return p
+}
+
+// newTrace installs the trace consumer, writing to tracer.
+func (p *Parser) newTrace(tracer Tracer) {
+	p.trace = obs.NewTraceProbe(tracer, interp.Throttles(p.g.res))
+	p.traced = runtime.JoinProbes(p.base, p.trace)
+}
+
+// probe is the interpreter's probe: the trace consumer joins the others
+// while it has a sink.
+func (p *Parser) probe() runtime.Probe {
+	if p.trace != nil && p.trace.Active() {
+		return p.traced
+	}
+	return p.base
 }
 
 // Parse parses input starting at rule startRule (the grammar's first rule
@@ -594,17 +658,22 @@ func (p *Parser) Parse(startRule, input string) (*Tree, error) {
 }
 
 // SetFlightRecorder attaches (or, with nil, detaches) a flight
-// recorder between parses, teeing it with the parser's
-// construction-time tracer. This is how the parse service rides a
-// request-scoped ring on a pooled parser: attach after checkout,
-// detach before returning the parser to its pool. Detached, the
-// parser's cost profile is exactly its construction-time one.
+// recorder between parses, alongside the parser's construction-time
+// tracer. This is how the parse service rides a request-scoped ring on
+// a pooled parser: attach after checkout, detach before returning the
+// parser to its pool. Detached, the parser's probe is exactly its
+// construction-time one.
 func (p *Parser) SetFlightRecorder(r *FlightRecorder) {
-	if r == nil {
-		p.ip.AttachTracer(nil)
-		return
+	switch {
+	case r != nil:
+		if p.trace == nil {
+			p.newTrace(nil)
+		}
+		p.trace.SetFlight(r)
+	case p.trace != nil:
+		p.trace.SetFlight(nil)
 	}
-	p.ip.AttachTracer(r)
+	p.ip.SetProbe(p.probe())
 }
 
 // Errors returns the syntax errors recovered during the most recent
@@ -613,4 +682,4 @@ func (p *Parser) Errors() []*SyntaxError { return p.ip.Errors() }
 
 // Stats returns the profile of the most recent Parse (nil without
 // WithStats).
-func (p *Parser) Stats() *Stats { return p.ip.Stats() }
+func (p *Parser) Stats() *Stats { return p.stats }

@@ -3,7 +3,6 @@ package llstar
 import (
 	"sync"
 
-	"llstar/internal/interp"
 	"llstar/internal/obs"
 )
 
@@ -33,11 +32,7 @@ type ParserPool struct {
 // options NewParser accepts). Parsers are created on demand and recycled
 // across Get/Put; idle parsers may be dropped by the garbage collector.
 func (g *Grammar) NewParserPool(opts ...ParserOption) *ParserPool {
-	var o interp.Options
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return &ParserPool{g: g, opts: opts, mx: o.Metrics}
+	return &ParserPool{g: g, opts: opts, mx: configure(opts).metrics}
 }
 
 // Get returns a Parser owned by the caller until Put. The Parser must be

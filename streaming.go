@@ -88,7 +88,7 @@ func WithSessionTracer(t Tracer) SessionOption {
 	return func(o *stream.Options) { o.Tracer = t }
 }
 
-// WithSessionFlightRecorder tees the session's events into a bounded
+// WithSessionFlightRecorder records the session's events into a bounded
 // flight-recorder ring.
 func WithSessionFlightRecorder(r *FlightRecorder) SessionOption {
 	return func(o *stream.Options) {
