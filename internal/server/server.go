@@ -461,6 +461,9 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
+// Unwrap lets http.ResponseController reach the underlying writer.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // instrument wraps an endpoint with the shared middleware: in-flight
 // limiting (limited endpoints only), the endpoint's body cap, request
 // metrics, and a per-request trace span.

@@ -120,6 +120,11 @@ func (s *Server) handleParseStream(w http.ResponseWriter, r *http.Request) {
 		sw.grammar = e.Name
 	}
 
+	// Events are flushed while the body is still being read. An HTTP/1.x
+	// server otherwise closes the unread body at the first flush, and
+	// the next read fails with "invalid Read on closed Body". HTTP/2 is
+	// always full duplex and reports ErrNotSupported, which is fine.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	fr := s.newFlightRun(w, "parse_stream", e.Name)
 	nw := newNDJSONWriter(w)
 	opts := []llstar.SessionOption{
