@@ -22,6 +22,7 @@ fuzz:
 	$(GO) test ./internal/meta -run='^$$' -fuzz=FuzzLexer -fuzztime=$(FUZZTIME)
 	$(GO) test . -run='^$$' -fuzz=FuzzUnmarshalAnalysis -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/genrun -run='^$$' -fuzz=FuzzGeneratedParser -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/lexrt -run='^$$' -fuzz=FuzzLexerTables -fuzztime=$(FUZZTIME)
 
 # Regenerate the checked-in generated parsers under examples/gen/ from
 # the repo grammars (CI fails if this leaves a diff).

@@ -2,6 +2,7 @@ package atn
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"llstar/internal/grammar"
@@ -174,5 +175,38 @@ B : 'b' ;
 	out := m.Dot("s")
 	if !strings.Contains(out, "digraph ATN") || !strings.Contains(out, "d0") {
 		t.Errorf("dot output: %s", out)
+	}
+}
+
+// TestLexDFALazyShared: Build leaves the lexer DFA unbuilt, and racing
+// first DFA calls build it once and all get the same tables.
+func TestLexDFALazyShared(t *testing.T) {
+	m := build(t, `
+grammar L;
+s : ID ;
+ID : ('a'..'z')+ ;
+WS : (' ')+ { skip(); } ;
+`)
+	if m.Lex.dfa != nil || m.Lex.dfaErr != nil {
+		t.Fatal("Build determinized the lexer")
+	}
+	got := make([]*LexDFA, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			d, err := m.Lex.DFA()
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = d
+		}(i)
+	}
+	wg.Wait()
+	for i, d := range got {
+		if d == nil || d != got[0] {
+			t.Fatalf("DFA call %d returned %p, call 0 %p", i, d, got[0])
+		}
 	}
 }

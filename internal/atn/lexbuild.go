@@ -3,6 +3,7 @@ package atn
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"llstar/internal/grammar"
 	"llstar/internal/token"
@@ -10,8 +11,8 @@ import (
 
 // LexMachine is the character-level ATN for a grammar's lexer rules.
 // Fragments and cross-rule references are inlined, so the machine is a
-// plain NFA suitable for parallel-configuration simulation with
-// longest-match / first-rule-wins semantics.
+// plain NFA with longest-match / first-rule-wins semantics; DFA
+// determinizes it for the lexers that scan it.
 type LexMachine struct {
 	States []*State
 	// Start has one epsilon edge per non-fragment lexer rule, in
@@ -19,46 +20,11 @@ type LexMachine struct {
 	Start *State
 	// Rules describes each non-fragment lexer rule.
 	Rules []LexRuleInfo
-	// acceptRule maps an accepting state ID to its rule's position in
-	// Rules.
-	acceptRule map[int]int
 
-	// closures caches per-state ε-closures (computed at build time).
-	closures [][]*State
-}
-
-// Closure returns the ε-closure of a state (including itself), computed
-// once per machine and safe for concurrent readers.
-func (lm *LexMachine) Closure(s *State) []*State {
-	return lm.closures[s.ID]
-}
-
-// computeClosures precomputes ε-closures for every state.
-func (lm *LexMachine) computeClosures() {
-	lm.closures = make([][]*State, len(lm.States))
-	seen := make([]int, len(lm.States))
-	gen := 0
-	for _, s := range lm.States {
-		gen++
-		var out []*State
-		var stack []*State
-		stack = append(stack, s)
-		for len(stack) > 0 {
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[top.ID] == gen {
-				continue
-			}
-			seen[top.ID] = gen
-			out = append(out, top)
-			for _, tr := range top.Trans {
-				if tr.Kind == TEpsilon {
-					stack = append(stack, tr.To)
-				}
-			}
-		}
-		lm.closures[s.ID] = out
-	}
+	// The determinization (lexdfa.go), built once on first use.
+	dfaOnce sync.Once
+	dfa     *LexDFA
+	dfaErr  error
 }
 
 // LexRuleInfo describes one non-fragment lexer rule.
@@ -70,14 +36,6 @@ type LexRuleInfo struct {
 	Stop    *State
 }
 
-// AcceptRule returns the rule index accepting at state s, or -1.
-func (lm *LexMachine) AcceptRule(s *State) int {
-	if idx, ok := lm.acceptRule[s.ID]; ok {
-		return idx
-	}
-	return -1
-}
-
 type lexBuilder struct {
 	g      *grammar.Grammar
 	lm     *LexMachine
@@ -85,7 +43,7 @@ type lexBuilder struct {
 }
 
 func buildLexMachine(g *grammar.Grammar) (*LexMachine, error) {
-	lm := &LexMachine{acceptRule: make(map[int]int)}
+	lm := &LexMachine{}
 	b := &lexBuilder{g: g, lm: lm}
 	lm.Start = b.newState("<lexer>")
 
@@ -109,7 +67,6 @@ func buildLexMachine(g *grammar.Grammar) (*LexMachine, error) {
 		info.Skip = skip
 		info.Channel = channel
 		info.Stop = stop
-		lm.acceptRule[stop.ID] = len(lm.Rules)
 		lm.Rules = append(lm.Rules, info)
 	}
 
@@ -137,12 +94,8 @@ func buildLexMachine(g *grammar.Grammar) (*LexMachine, error) {
 			pre = append(pre, LexRuleInfo{Name: "'" + lit + "'", Type: g.Vocab.Literal(lit), Stop: stop})
 			preStates = append(preStates, start)
 		}
-		// Literals take priority: prepend to Rules and rebuild accept map.
+		// Literals take priority: prepend to Rules.
 		lm.Rules = append(pre, lm.Rules...)
-		lm.acceptRule = make(map[int]int, len(lm.Rules))
-		for i, info := range lm.Rules {
-			lm.acceptRule[info.Stop.ID] = i
-		}
 		// Fresh start edges: literals first.
 		oldEdges := lm.Start.Trans
 		lm.Start.Trans = nil
@@ -151,7 +104,6 @@ func buildLexMachine(g *grammar.Grammar) (*LexMachine, error) {
 		}
 		lm.Start.Trans = append(lm.Start.Trans, oldEdges...)
 	}
-	lm.computeClosures()
 	return lm, nil
 }
 

@@ -1,6 +1,7 @@
 package genrun
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -143,5 +144,54 @@ func TestGeneratedDeepSpeculation(t *testing.T) {
 				checkParity(t, label, interpVerdict(g, c.start, input), got)
 			}
 		})
+	}
+}
+
+// TestGeneratedLexerNearCap builds the parser for a lexer whose DFA has
+// 2^11 states — T is ('a'|'b')* 'a' followed by ten ('a'|'b'), so the
+// lexer must remember the last eleven letters — and checks that the
+// generated Tokenize and the interpreter's lexer agree on it: same
+// tokens in the same trees, same lex error positions. Three more
+// copies overflow the DFA state cap (see TestLexDFACap).
+func TestGeneratedLexerNearCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds Go modules")
+	}
+	src := "grammar Cap;\ns : (T)+ ;\nT : ('a'|'b')* 'a'" + strings.Repeat(" ('a'|'b')", 10) + " ;\nWS : (' ')+ { skip(); } ;\n"
+	g, err := llstar.Load("cap.g", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Build(g, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rnd := rand.New(rand.NewSource(1))
+	inputs := []string{"ab", strings.Repeat("b", 12), "a" + strings.Repeat("b", 10)}
+	for i := 0; i < 40; i++ {
+		words := make([]string, 1+rnd.Intn(6))
+		for j := range words {
+			w := make([]byte, 11+rnd.Intn(12))
+			for k := range w {
+				w[k] = "ab"[rnd.Intn(2)]
+			}
+			words[j] = string(w)
+		}
+		inputs = append(inputs, strings.Join(words, " "))
+	}
+	accepted := 0
+	for _, input := range inputs {
+		got, err := r.Do(Request{Rule: "s", Input: input, Tree: true})
+		if err != nil {
+			t.Fatalf("%q: %v", input, err)
+		}
+		checkParity(t, input, interpVerdict(g, "s", input), got)
+		if got.OK {
+			accepted++
+		}
+	}
+	if accepted < 5 || accepted == len(inputs) {
+		t.Fatalf("%d of %d inputs parse, want a mix of accepted and rejected inputs", accepted, len(inputs))
 	}
 }

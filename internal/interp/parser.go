@@ -199,7 +199,9 @@ func (p *Parser) ParseTokens(startRule string, stream *runtime.TokenStream) (*No
 		holder = &Node{}
 	}
 	err := p.parseRule(idx, 0, holder)
-	if err == nil && stream.LA(1) != token.EOF {
+	if ferr := lexerFailure(stream); ferr != nil {
+		err = ferr
+	} else if err == nil && stream.LA(1) != token.EOF {
 		se := p.syntaxErr(stream.LT(1), startRule, "extraneous input after parse")
 		if rerr := p.report(se); rerr != nil {
 			err = rerr
@@ -224,6 +226,20 @@ func (p *Parser) ParseTokens(startRule string, stream *runtime.TokenStream) (*No
 		return nil, lexErr
 	}
 	return root, nil
+}
+
+// lexerFailure returns the token source's error when the lexer failed
+// outright rather than at a character of the input — the grammar's
+// lexer DFA could not be built. Every token the parse saw after it was
+// EOF padding, so it supersedes whatever error the parse reported. A
+// *runtime.LexError does not: the interpreter lexes on demand, and a
+// syntax error before the offending character is reported first.
+func lexerFailure(stream *runtime.TokenStream) error {
+	err := stream.Err()
+	if _, ok := err.(*runtime.LexError); ok {
+		return nil
+	}
+	return err
 }
 
 // Memo returns the memo table of the most recent parse (nil when
@@ -257,6 +273,9 @@ func (p *Parser) ParseFragment(startRule string, stream *runtime.TokenStream, me
 		holder = &Node{}
 	}
 	err := p.parseRule(idx, 0, holder)
+	if ferr := lexerFailure(stream); ferr != nil {
+		err = ferr
+	}
 	if p.probe != nil {
 		p.probe.EndParse(runtime.ParseEnd{Rule: startRule, Fragment: true, Tokens: stream.Size(), Memo: memo, Err: err})
 	}

@@ -1,199 +1,49 @@
-// Package lexrt is the lexer engine: it simulates the character-level
-// ATN built from a grammar's lexer rules with maximal-munch semantics —
+// Package lexrt is the lexer engine: it tokenizes with the grammar's
+// lexer DFA (atn.LexMachine.DFA) under maximal-munch semantics —
 // longest match wins, and among rules matching the same longest prefix
 // the one declared first (with implicit literals outranking named rules)
 // wins. Matches from rules carrying a skip() action are discarded;
 // channel(HIDDEN) rules are emitted off the default channel.
 //
-// For speed the engine performs subset construction on the fly: NFA
-// configuration sets are interned as DFA states and transitions are
-// memoized per rune, so steady-state lexing costs one map lookup per
-// character (the same trick ANTLR's lexers use).
+// The DFA is determinized once per grammar and shared by every lexer
+// and by generated parsers, so lexing costs one class lookup and one
+// table index per character.
 //
-// Two drivers share the engine: Lexer tokenizes a whole in-memory
-// string, and ChunkLexer (chunk.go) tokenizes byte chunks arriving
-// incrementally, suspending mid-token at buffer boundaries.
+// ChunkLexer (chunk.go) holds the one match loop: it tokenizes byte
+// chunks arriving incrementally, suspending mid-token at buffer
+// boundaries. Lexer is a ChunkLexer fed a whole in-memory string at
+// once.
 package lexrt
 
 import (
-	"sort"
-	"strconv"
-	"strings"
-	"unicode/utf8"
-
 	"llstar/internal/atn"
 	"llstar/internal/runtime"
 	"llstar/internal/token"
 )
 
-// dfaState is an interned NFA configuration set with memoized rune
-// transitions. accept is the best (lowest-index) lexer rule accepting in
-// this set, or -1.
-type dfaState struct {
-	states []*atn.State
-	accept int
-	edges  map[rune]*dfaState // nil target = dead end, also memoized
-}
-
-// engine holds the on-the-fly subset construction shared by the batch
-// Lexer and the streaming ChunkLexer: the interned DFA states and the
-// scratch buffers for uncached transitions. Not safe for concurrent use.
-type engine struct {
-	lm       *atn.LexMachine
-	start    *dfaState
-	interned map[string]*dfaState
-
-	// scratch buffers for uncached transitions
-	next []*atn.State
-	seen []int
-	gen  int
-}
-
-func (e *engine) init(lm *atn.LexMachine) {
-	e.lm = lm
-	e.interned = make(map[string]*dfaState)
-	e.seen = make([]int, len(lm.States))
-	// Copy the shared precomputed closure: intern sorts its argument in
-	// place, and concurrent lexers share one LexMachine.
-	e.start = e.intern(append([]*atn.State(nil), lm.Closure(lm.Start)...))
-}
-
-// intern canonicalizes a configuration set into a shared dfaState.
-func (e *engine) intern(states []*atn.State) *dfaState {
-	sort.Slice(states, func(i, j int) bool { return states[i].ID < states[j].ID })
-	var key strings.Builder
-	for _, s := range states {
-		key.WriteString(strconv.Itoa(s.ID))
-		key.WriteByte('.')
-	}
-	if d, ok := e.interned[key.String()]; ok {
-		return d
-	}
-	accept := -1
-	for _, s := range states {
-		if r := e.lm.AcceptRule(s); r >= 0 && (accept < 0 || r < accept) {
-			accept = r
-		}
-	}
-	d := &dfaState{states: states, accept: accept, edges: make(map[rune]*dfaState)}
-	e.interned[key.String()] = d
-	return d
-}
-
-// step computes (and memoizes) the successor of d on rune r.
-func (e *engine) step(d *dfaState, r rune) *dfaState {
-	if next, ok := d.edges[r]; ok {
-		return next
-	}
-	e.gen++
-	e.next = e.next[:0]
-	for _, s := range d.states {
-		for _, tr := range s.Trans {
-			if tr.Kind == atn.TEpsilon || !tr.MatchesRune(r) {
-				continue
-			}
-			for _, c := range e.lm.Closure(tr.To) {
-				if e.seen[c.ID] != e.gen {
-					e.seen[c.ID] = e.gen
-					e.next = append(e.next, c)
-				}
-			}
-		}
-	}
-	var next *dfaState
-	if len(e.next) > 0 {
-		next = e.intern(append([]*atn.State(nil), e.next...))
-	}
-	d.edges[r] = next
-	return next
-}
-
 // Lexer tokenizes an input string using a LexMachine. It implements
 // runtime.TokenSource.
 type Lexer struct {
-	engine
-	input []rune
-	pos   int
-	line  int
-	col   int
-	off   int // byte offset of input[pos] in the original string
+	c ChunkLexer
 }
 
 var _ runtime.TokenSource = (*Lexer)(nil)
 
 // New returns a lexer over input.
 func New(lm *atn.LexMachine, input string) *Lexer {
-	lx := &Lexer{
-		input: []rune(input),
-		line:  1,
-		col:   1,
-	}
-	lx.engine.init(lm)
-	return lx
+	l := &Lexer{}
+	l.c.init(lm)
+	l.c.buf = []byte(input)
+	l.c.Finish()
+	l.c.buf = nil // all decoded: nothing more will be fed
+	return l
 }
 
 // NextToken implements runtime.TokenSource: it returns the next token on
 // any channel (the token stream filters channels), an EOF token at end of
-// input (repeatedly), or a *runtime.LexError.
+// input (repeatedly), or an error: a *runtime.LexError, or the
+// *atn.LexDFAError of a lexer too large to determinize.
 func (l *Lexer) NextToken() (token.Token, error) {
-	for {
-		if l.pos >= len(l.input) {
-			return token.Token{Type: token.EOF, Pos: token.Pos{Line: l.line, Col: l.col}, Off: l.off}, nil
-		}
-		tok, skip, err := l.match()
-		if err != nil {
-			return token.Token{}, err
-		}
-		if skip {
-			continue
-		}
-		return tok, nil
-	}
-}
-
-// match runs one maximal-munch simulation from the current position.
-func (l *Lexer) match() (token.Token, bool, error) {
-	start := l.pos
-	startPos := token.Pos{Line: l.line, Col: l.col}
-	startOff := l.off
-
-	d := l.start
-	bestEnd, bestRule := -1, -1
-	if d.accept >= 0 {
-		bestEnd, bestRule = start, d.accept
-	}
-	for i := start; i < len(l.input); i++ {
-		d = l.step(d, l.input[i])
-		if d == nil {
-			break
-		}
-		if d.accept >= 0 {
-			bestEnd, bestRule = i+1, d.accept
-		}
-	}
-
-	if bestRule < 0 {
-		return token.Token{}, false, &runtime.LexError{Pos: startPos, Rune: l.input[start]}
-	}
-	text := string(l.input[start:bestEnd])
-	l.advance(start, bestEnd)
-	info := l.lm.Rules[bestRule]
-	if info.Skip {
-		return token.Token{}, true, nil
-	}
-	return token.Token{Type: info.Type, Text: text, Pos: startPos, Off: startOff, Channel: info.Channel}, false, nil
-}
-
-// advance updates line/col/off over input[start:end) and moves the cursor.
-func (l *Lexer) advance(start, end int) {
-	for i := start; i < end; i++ {
-		if l.input[i] == '\n' {
-			l.line++
-			l.col = 1
-		} else {
-			l.col++
-		}
-		l.off += utf8.RuneLen(l.input[i])
-	}
-	l.pos = end
+	tok, _, err := l.c.Next()
+	return tok, err
 }

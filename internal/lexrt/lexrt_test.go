@@ -177,8 +177,8 @@ A : 'x' A | 'y' ;
 }
 
 // Property: lexing the space-joined rendering of random tokens yields
-// exactly those tokens back (round-trip through the on-the-fly DFA
-// cache), for any interleaving and length.
+// exactly those tokens back (round-trip through the lexer DFA tables),
+// for any interleaving and length.
 func TestLexRoundTripProperty(t *testing.T) {
 	g, err := meta.Parse("t.g", lexGrammar)
 	if err != nil {

@@ -255,6 +255,9 @@ func (s *Server) proxyTo(w http.ResponseWriter, r *http.Request, c *cluster.Clus
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
+	// Count before relaying: once the body is flushed the client may
+	// already be reading this replica's metrics.
+	s.countProxy("ok")
 	for k, vs := range resp.Header {
 		if k == "Connection" || k == "Transfer-Encoding" || len(vs) == 0 {
 			continue
@@ -279,7 +282,6 @@ func (s *Server) proxyTo(w http.ResponseWriter, r *http.Request, c *cluster.Clus
 			break
 		}
 	}
-	s.countProxy("ok")
 	s.finishProxy(t0, start, r.URL.Path, owner, resp.StatusCode, resp.StatusCode < 500, reqID, traceID)
 	return true
 }
