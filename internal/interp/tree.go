@@ -15,7 +15,8 @@ type Node struct {
 	Children []*Node
 }
 
-// String renders the tree as an s-expression: (rule child ...).
+// String renders the tree as an s-expression: (rule child ...). A
+// length pass sizes one buffer, and the rendering pass fills it.
 func (n *Node) String() string {
 	if n == nil {
 		return "nil"
@@ -24,14 +25,43 @@ func (n *Node) String() string {
 		return n.Token.Text
 	}
 	var b strings.Builder
+	b.Grow(n.renderLen())
+	n.render(&b)
+	return b.String()
+}
+
+// renderLen is the length of n's rendering.
+func (n *Node) renderLen() int {
+	switch {
+	case n == nil:
+		return len("nil")
+	case n.Token != nil:
+		return len(n.Token.Text)
+	}
+	size := len(n.Rule) + 2 + len(n.Children)
+	for _, c := range n.Children {
+		size += c.renderLen()
+	}
+	return size
+}
+
+// render appends n's rendering to b.
+func (n *Node) render(b *strings.Builder) {
+	switch {
+	case n == nil:
+		b.WriteString("nil")
+		return
+	case n.Token != nil:
+		b.WriteString(n.Token.Text)
+		return
+	}
 	b.WriteByte('(')
 	b.WriteString(n.Rule)
 	for _, c := range n.Children {
 		b.WriteByte(' ')
-		b.WriteString(c.String())
+		c.render(b)
 	}
 	b.WriteByte(')')
-	return b.String()
 }
 
 // Leaves returns the tree's tokens in order.

@@ -1,9 +1,9 @@
 // Package flight is the request-scoped flight recorder of the
-// observability layer: a bounded, allocation-free ring buffer that
-// keeps the last N trace events of one parse, plus an anomaly trigger
-// and a server-wide bounded capture store, so the full event timeline
-// of "the one slow request" is retrievable after the fact without
-// paying for always-on full tracing.
+// observability layer: a bounded, allocation-free ring of compact event
+// records that keeps the last N runtime events of one parse, plus an
+// anomaly trigger and a server-wide bounded capture store, so the full
+// event timeline of "the one slow request" is retrievable after the
+// fact without paying for always-on full tracing.
 //
 // The design follows the paper's operational reality: LL(*) prediction
 // is adaptive (Sections 4–5), so a production parse can silently
@@ -11,16 +11,16 @@
 // Aggregate metrics and coverage profiles show that a fleet degrades;
 // only a per-request capture shows *which* request degraded and at
 // which decisions. A Recorder rides along every request cheaply
-// (single-writer, fixed capacity, no locks, no allocation after
-// construction); when the request turns out anomalous — too slow, a
-// 5xx, a panic, or over its speculation budget — the ring is frozen
+// (single-writer, fixed capacity, no locks, no allocation and no clock
+// read per event); when the request turns out anomalous — too slow, a
+// 5xx, a panic, or over its speculation budget — the ring is expanded
 // into a Capture and persisted in a Store for the /debug/flight
 // endpoints.
 //
 // The cost contract matches the tracer and coverage profiler: with no
-// recorder installed the parser's instrumentation sites reduce to one
-// nil check (obs.Active semantics), so a disabled flight recorder is
-// indistinguishable from no observability at all.
+// recorder attached the parser's instrumentation sites reduce to one
+// nil check, so a disabled flight recorder is indistinguishable from no
+// observability at all.
 package flight
 
 import (
@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"llstar/internal/obs"
+	"llstar/internal/runtime"
 )
 
 // DefaultEvents is the ring capacity used when a Recorder is created
@@ -40,16 +41,79 @@ import (
 // a degraded parse without dominating request memory.
 const DefaultEvents = 256
 
-// Recorder is a bounded ring-buffer obs.Tracer for one request (or one
-// CLI parse). It is single-writer — exactly like the parser that owns
-// it — and never allocates after construction: Emit overwrites the
-// oldest slot once the ring is full. Reset rearms it for reuse from a
-// sync.Pool.
+// Recorder is a bounded ring of event records for one request (or one
+// CLI parse). It is single-writer — exactly like the parser that feeds
+// it — and never allocates after construction: a new record overwrites
+// the oldest once the ring is full. A parser writes into it through a
+// Probe, and Emit adds any other event, such as a streaming session's
+// stream.* spans. Records become obs.Events only when Events or
+// Snapshot takes a capture. Reset rearms it for reuse from a sync.Pool.
 type Recorder struct {
 	epoch time.Time
-	buf   []obs.Event
-	n     int // events emitted since Reset (may exceed len(buf))
+	start time.Duration // the current parse's start, on the recorder's clock
+	buf   []record
+	head  int // the slot the next record overwrites
+	n     int // records written since Reset (may exceed len(buf))
 }
+
+// record is one ring slot: an event in fixed-size form. Parse-loop
+// records carry their parse's start time and no duration; parse spans
+// and emitted events carry their own.
+type record struct {
+	ts, dur                 time.Duration
+	n                       int64     // obs.Event.N: a token index or count
+	rule, detail            string    // owned by the grammar or the event
+	other                   *kindInfo // names a kindOther event
+	decision, alt, k, depth int32
+	kind                    kind
+	throttle                uint8 // the decision's class, indexing throttles
+	ok, backtracked         bool
+}
+
+// kind is a record's event name, phase and type, indexing kinds.
+type kind uint8
+
+const (
+	kindOther kind = iota // an emitted event outside the vocabulary below
+	kindParse
+	kindPredict
+	kindSpecAlt
+	kindSynPred
+	kindMemoHit
+	kindMemoMiss
+	kindSemPred
+	kindError
+	kindResync
+	kindFeed
+	kindStreamParse
+	kindEdit
+)
+
+// kindInfo is what a kind expands to.
+type kindInfo struct {
+	name string
+	cat  obs.Phase
+	ph   byte
+}
+
+var kinds = [...]kindInfo{
+	kindParse:       {"parse", obs.PhaseRuntime, obs.PhSpan},
+	kindPredict:     {"predict", obs.PhaseRuntime, obs.PhSpan},
+	kindSpecAlt:     {"speculate.alt", obs.PhaseRuntime, obs.PhSpan},
+	kindSynPred:     {"speculate.synpred", obs.PhaseRuntime, obs.PhSpan},
+	kindMemoHit:     {"memo.hit", obs.PhaseRuntime, obs.PhInstant},
+	kindMemoMiss:    {"memo.miss", obs.PhaseRuntime, obs.PhInstant},
+	kindSemPred:     {"sempred", obs.PhaseRuntime, obs.PhInstant},
+	kindError:       {"error", obs.PhaseRuntime, obs.PhInstant},
+	kindResync:      {"resync", obs.PhaseRuntime, obs.PhInstant},
+	kindFeed:        {"stream.feed", obs.PhaseStream, obs.PhSpan},
+	kindStreamParse: {"stream.parse", obs.PhaseStream, obs.PhSpan},
+	kindEdit:        {"stream.edit", obs.PhaseStream, obs.PhSpan},
+}
+
+// throttles are the decision classes a record's throttle code names; 0
+// is none.
+var throttles = [...]string{"", "fixed", "cyclic", "backtrack"}
 
 // NewRecorder returns a recorder holding the last capacity events
 // (DefaultEvents if capacity <= 0).
@@ -57,14 +121,65 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultEvents
 	}
-	return &Recorder{epoch: time.Now(), buf: make([]obs.Event, capacity)}
+	return &Recorder{epoch: time.Now(), buf: make([]record, capacity)}
 }
 
-// Emit implements obs.Tracer: store the event, overwriting the oldest
-// once the ring is full.
-func (r *Recorder) Emit(e obs.Event) {
-	r.buf[r.n%len(r.buf)] = e
+// next returns the slot for the next record.
+func (r *Recorder) next() *record {
+	rec := &r.buf[r.head]
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
 	r.n++
+	return rec
+}
+
+// add writes the next record as a parse-loop event of the current
+// parse and returns it for the fields its caller sets beyond these. It
+// stores field by field, and clears the rarely set pointer fields only
+// when they are set: storing a whole record literal goes through a
+// stack temporary and a bulk write barrier, and every pointer store
+// pays the write barrier while the collector runs.
+func (r *Recorder) add(k kind, decision int, rule string, ok bool) *record {
+	rec := r.next()
+	rec.ts, rec.dur, rec.n = r.start, 0, 0
+	rec.rule = rule
+	if rec.detail != "" || rec.other != nil {
+		rec.detail, rec.other = "", nil
+	}
+	rec.decision, rec.alt, rec.k, rec.depth = int32(decision), 0, 0, 0
+	rec.kind, rec.throttle, rec.ok, rec.backtracked = k, 0, ok, false
+	return rec
+}
+
+// Emit implements obs.Tracer: it records e, overwriting the oldest
+// record once the ring is full. An event outside the parse-loop and
+// streaming vocabulary keeps its name and phase at the cost of one
+// allocation. Worker, and a Throttle other than a decision class, are
+// not kept.
+func (r *Recorder) Emit(e obs.Event) {
+	rec := r.next()
+	*rec = record{
+		ts: e.TS, dur: e.Dur, n: e.N, rule: e.Rule, detail: e.Detail,
+		decision: int32(e.Decision), alt: int32(e.Alt), k: int32(e.K), depth: int32(e.Depth),
+		throttle: throttleCode(e.Throttle), ok: e.OK, backtracked: e.Backtracked,
+	}
+	for k := kindParse; int(k) < len(kinds); k++ {
+		if kinds[k] == (kindInfo{e.Name, e.Cat, e.Ph}) {
+			rec.kind = k
+			return
+		}
+	}
+	rec.other = &kindInfo{e.Name, e.Cat, e.Ph}
+}
+
+func throttleCode(class string) uint8 {
+	for c, name := range throttles {
+		if name == class {
+			return uint8(c)
+		}
+	}
+	return 0
 }
 
 // Now implements obs.Tracer: time since the recorder's epoch (the last
@@ -75,37 +190,121 @@ func (r *Recorder) Now() time.Duration { return time.Since(r.epoch) }
 // Reset clears the ring and restarts the clock, making the recorder
 // ready for the next request.
 func (r *Recorder) Reset() {
-	r.n = 0
+	r.head, r.n = 0, 0
 	r.epoch = time.Now()
 }
 
 // Len reports how many events the ring currently holds.
-func (r *Recorder) Len() int {
-	if r.n < len(r.buf) {
-		return r.n
-	}
-	return len(r.buf)
-}
+func (r *Recorder) Len() int { return min(r.n, len(r.buf)) }
 
 // Dropped reports how many events were overwritten since Reset.
-func (r *Recorder) Dropped() int {
-	if r.n <= len(r.buf) {
-		return 0
-	}
-	return r.n - len(r.buf)
-}
+func (r *Recorder) Dropped() int { return r.n - r.Len() }
 
-// Events returns the retained events in emission order (oldest first).
+// Events expands the retained records into events, in emission order
+// (oldest first).
 func (r *Recorder) Events() []obs.Event {
-	out := make([]obs.Event, 0, r.Len())
+	out := make([]obs.Event, r.Len())
 	start := 0
 	if r.n > len(r.buf) {
-		start = r.n - len(r.buf)
+		start = r.head
 	}
-	for i := start; i < r.n; i++ {
-		out = append(out, r.buf[i%len(r.buf)])
+	for i := range out {
+		out[i] = r.buf[(start+i)%len(r.buf)].event()
 	}
 	return out
+}
+
+// event expands one record.
+func (rec *record) event() obs.Event {
+	info := &kinds[rec.kind]
+	if rec.kind == kindOther {
+		info = rec.other
+	}
+	return obs.Event{
+		Name: info.name, Cat: info.cat, Ph: info.ph, TS: rec.ts, Dur: rec.dur,
+		Decision: int(rec.decision), Rule: rec.rule, Alt: int(rec.alt), K: int(rec.k), Depth: int(rec.depth),
+		Throttle: throttles[rec.throttle], Backtracked: rec.backtracked, OK: rec.ok,
+		N: rec.n, Detail: rec.detail,
+	}
+}
+
+// Probe is the flight recorder's consumer of a parser's runtime.Probe.
+// It writes each parse-loop event as one record into the attached
+// recorder and reads the recorder's clock only when a parse begins and
+// ends, so a parse-loop event carries its parse's start time and no
+// duration of its own; only the parse span is timed. A parser joins
+// its Probe beside its other consumers while a recorder is attached,
+// and attaching or detaching one allocates nothing.
+type Probe struct {
+	runtime.NopProbe
+	r        *Recorder
+	throttle []uint8 // each decision's class, indexing throttles
+}
+
+// NewProbe returns a probe for a parser whose decisions have the given
+// throttle classes ("fixed", "cyclic" or "backtrack", by decision ID).
+// Attach a recorder before the probe sees a parse.
+func NewProbe(throttle []string) *Probe {
+	codes := make([]uint8, len(throttle))
+	for d, class := range throttle {
+		codes[d] = throttleCode(class)
+	}
+	return &Probe{throttle: codes}
+}
+
+// Attach directs the probe into r (nil detaches it). Call it only
+// between parses.
+func (p *Probe) Attach(r *Recorder) { p.r = r }
+
+func (p *Probe) BeginParse(bool) { p.r.start = p.r.Now() }
+
+func (p *Probe) Memo(_ int, rule string, start, depth int, hit, ok bool) {
+	k := kindMemoMiss
+	if hit {
+		k = kindMemoHit
+	}
+	rec := p.r.add(k, -1, rule, ok)
+	rec.depth, rec.n = int32(depth), int64(start)
+}
+
+func (p *Probe) Predict(e runtime.Prediction) {
+	rec := p.r.add(kindPredict, e.Decision, e.Rule, !e.Failed)
+	rec.alt, rec.k, rec.depth = int32(e.Alt), int32(e.K), int32(e.Depth)
+	rec.throttle, rec.backtracked = p.throttle[e.Decision], e.Backtracked
+}
+
+func (p *Probe) Speculate(e runtime.Speculation) {
+	k, decision, alt := kindSpecAlt, e.Decision, e.Alt
+	if e.SynPred >= 0 {
+		k, decision, alt = kindSynPred, -1, e.SynPred
+	}
+	rec := p.r.add(k, decision, e.Rule, e.OK)
+	rec.alt, rec.k, rec.depth = int32(alt), int32(e.Tokens), int32(e.Depth)
+}
+
+func (p *Probe) SemPred(rule, text string, depth int, ok bool, err error) {
+	if err != nil {
+		text += ": " + err.Error()
+	}
+	rec := p.r.add(kindSemPred, -1, rule, ok)
+	rec.depth, rec.detail = int32(depth), text
+}
+
+func (p *Probe) SyntaxError(se *runtime.SyntaxError) {
+	rec := p.r.add(kindError, -1, se.Rule, false)
+	rec.detail, rec.n = se.Msg, int64(se.Offending.Index)
+}
+
+func (p *Probe) Resync(decision int, rule string, deleted int, ok bool) {
+	p.r.add(kindResync, decision, rule, ok).n = int64(deleted)
+}
+
+// EndParse records the parse span; a fragment reparse has none.
+func (p *Probe) EndParse(e runtime.ParseEnd) {
+	if !e.Fragment {
+		rec := p.r.add(kindParse, -1, e.Rule, e.Err == nil)
+		rec.dur, rec.n = p.r.Now()-p.r.start, int64(e.Tokens)
+	}
 }
 
 // EventRecord is the JSON shape of one captured event, matching the

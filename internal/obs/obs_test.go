@@ -161,39 +161,23 @@ type collector struct {
 func (c *collector) Emit(e Event)       { c.events = append(c.events, e) }
 func (c *collector) Now() time.Duration { return c.now }
 
-// TestTraceProbeSinks: the trace consumer fans events out to its tracer
-// and flight recorder, stamps them with the tracer's clock, and is
-// inactive with neither (Nop counts as none).
-func TestTraceProbeSinks(t *testing.T) {
+// TestTraceProbeTracer: the trace consumer renders parse-loop events
+// for its tracer and stamps them with the tracer's clock.
+func TestTraceProbeTracer(t *testing.T) {
 	a := &collector{now: 100}
-	b := &collector{now: 200}
-
 	tp := NewTraceProbe(a, []string{"fixed"})
-	tp.SetFlight(b)
 	tp.BeginParse(false)
 	tp.BeginPredict()
+	a.now = 150
 	tp.Predict(runtime.Prediction{Decision: 0, K: 1})
-	if len(a.events) != 1 || len(b.events) != 1 {
-		t.Errorf("fan-out: a=%d b=%d", len(a.events), len(b.events))
+	if len(a.events) != 1 {
+		t.Fatalf("events = %d, want 1", len(a.events))
 	}
-	if e := b.events[0]; e.Name != "predict" || e.Throttle != "fixed" {
-		t.Errorf("flight event = %+v", e)
+	if e := a.events[0]; e.Name != "predict" || e.Throttle != "fixed" || e.TS != 100 || e.Dur != 50 {
+		t.Errorf("predict event = %+v", e)
 	}
-	if tp.Now() != 100 {
-		t.Errorf("Now = %v, want the tracer's 100", tp.Now())
-	}
-
-	// Flight only: its clock stamps events.
-	solo := NewTraceProbe(Nop, nil)
-	if solo.Active() {
-		t.Error("Nop tracer made the probe active")
-	}
-	solo.SetFlight(b)
-	if !solo.Active() || solo.Now() != 200 {
-		t.Errorf("flight-only probe: active=%v now=%v", solo.Active(), solo.Now())
-	}
-	solo.SetFlight(nil)
-	if solo.Active() {
-		t.Error("detached probe still active")
+	tp.EndParse(runtime.ParseEnd{Rule: "s"})
+	if e := a.events[1]; e.Name != "parse" || e.TS != 100 || e.Dur != 50 {
+		t.Errorf("parse event = %+v", e)
 	}
 }

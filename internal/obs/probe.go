@@ -10,51 +10,24 @@ import (
 // TraceProbe is the tracing consumer of the parser's runtime.Probe: it
 // renders parse-loop events as runtime trace events (parse, predict and
 // speculate spans; memo, sempred, error and resync instants) for a
-// tracer, a flight recorder, or both. It is itself a Tracer over those
-// two sinks — events reach both and the tracer's clock stamps them — so
-// a streaming session emits its own spans through it too.
+// tracer, stamped with the tracer's clock.
 type TraceProbe struct {
 	runtime.NopProbe
-	tracer, flight Tracer
-	throttle       []string        // static decision class, by decision ID
-	open           []time.Duration // start times of the open spans
+	tracer   Tracer
+	throttle []string        // static decision class, by decision ID
+	open     []time.Duration // start times of the open spans
 }
 
-// NewTraceProbe returns a trace consumer writing to tracer (nil or Nop
-// for none until SetFlight attaches a recorder). throttle names each
-// decision's static class: "fixed", "cyclic" or "backtrack".
+// NewTraceProbe returns a trace consumer writing to tracer, which must
+// be Active. throttle names each decision's static class: "fixed",
+// "cyclic" or "backtrack".
 func NewTraceProbe(tracer Tracer, throttle []string) *TraceProbe {
-	return &TraceProbe{tracer: Active(tracer), throttle: throttle}
-}
-
-// SetFlight attaches a flight recorder (nil detaches it). Call it only
-// between parses.
-func (t *TraceProbe) SetFlight(f Tracer) { t.flight = Active(f) }
-
-// Active reports whether the probe has any sink.
-func (t *TraceProbe) Active() bool { return t.tracer != nil || t.flight != nil }
-
-// Emit implements Tracer.
-func (t *TraceProbe) Emit(e Event) {
-	if t.tracer != nil {
-		t.tracer.Emit(e)
-	}
-	if t.flight != nil {
-		t.flight.Emit(e)
-	}
-}
-
-// Now implements Tracer: the tracer's clock, else the flight recorder's.
-func (t *TraceProbe) Now() time.Duration {
-	if t.tracer != nil {
-		return t.tracer.Now()
-	}
-	return t.flight.Now()
+	return &TraceProbe{tracer: tracer, throttle: throttle}
 }
 
 func (t *TraceProbe) instant(e Event) {
-	e.Cat, e.Ph, e.TS = PhaseRuntime, PhInstant, t.Now()
-	t.Emit(e)
+	e.Cat, e.Ph, e.TS = PhaseRuntime, PhInstant, t.tracer.Now()
+	t.tracer.Emit(e)
 }
 
 // span closes the innermost open span. Parse, prediction and
@@ -62,15 +35,15 @@ func (t *TraceProbe) instant(e Event) {
 func (t *TraceProbe) span(e Event) {
 	n := len(t.open) - 1
 	e.Cat, e.Ph, e.TS, t.open = PhaseRuntime, PhSpan, t.open[n], t.open[:n]
-	e.Dur = t.Now() - e.TS
-	t.Emit(e)
+	e.Dur = t.tracer.Now() - e.TS
+	t.tracer.Emit(e)
 }
 
-func (t *TraceProbe) BeginParse(bool) { t.open = append(t.open[:0], t.Now()) }
+func (t *TraceProbe) BeginParse(bool) { t.open = append(t.open[:0], t.tracer.Now()) }
 
-func (t *TraceProbe) BeginPredict() { t.open = append(t.open, t.Now()) }
+func (t *TraceProbe) BeginPredict() { t.open = append(t.open, t.tracer.Now()) }
 
-func (t *TraceProbe) BeginSpeculate() { t.open = append(t.open, t.Now()) }
+func (t *TraceProbe) BeginSpeculate() { t.open = append(t.open, t.tracer.Now()) }
 
 func (t *TraceProbe) Memo(_ int, rule string, start, depth int, hit, ok bool) {
 	name := "memo.miss"

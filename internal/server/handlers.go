@@ -492,8 +492,13 @@ func (s *Server) doParse(e *Entry, req parseRequest, fr *flightRun) parseRespons
 	}
 	resp.OK = true
 	resp.Text = tree.String()
-	resp.Nodes = tree.Count()
-	resp.Tokens = len(tree.Leaves())
+	tree.Walk(func(n *llstar.Tree) bool {
+		resp.Nodes++
+		if n.Token != nil {
+			resp.Tokens++
+		}
+		return true
+	})
 	if fr != nil {
 		fr.stats.Tokens = int64(resp.Tokens)
 	}

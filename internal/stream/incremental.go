@@ -8,7 +8,6 @@ import (
 
 	"llstar/internal/interp"
 	"llstar/internal/lexrt"
-	"llstar/internal/obs"
 	"llstar/internal/runtime"
 	"llstar/internal/token"
 )
@@ -47,16 +46,8 @@ func (s *Session) Edit(e Edit) (err error) {
 	if !s.opts.Incremental || !s.done {
 		return ErrNotIncremental
 	}
-	if s.tr != nil {
-		t0 := s.tr.Now()
-		defer func() {
-			s.tr.Emit(obs.Event{
-				Name: "stream.edit", Cat: obs.PhaseStream, Ph: obs.PhSpan,
-				TS: t0, Dur: s.tr.Now() - t0, Decision: -1,
-				Rule: s.rule, N: int64(s.stats.RelexedTokens), OK: err == nil,
-			})
-		}()
-	}
+	t0 := s.now()
+	defer func() { s.span("stream.edit", t0, int64(s.stats.RelexedTokens), err == nil) }()
 	if e.Offset < 0 || e.OldLen < 0 || e.Offset+e.OldLen > len(s.text) {
 		return fmt.Errorf("stream: edit out of range: offset=%d old_len=%d text=%d bytes", e.Offset, e.OldLen, len(s.text))
 	}

@@ -9,6 +9,7 @@ import (
 	"llstar/internal/interp"
 	"llstar/internal/lexrt"
 	"llstar/internal/obs"
+	"llstar/internal/obs/flight"
 	"llstar/internal/runtime"
 	"llstar/internal/token"
 )
@@ -40,7 +41,7 @@ type Options struct {
 	// Tracer/Flight/Metrics instrument the session (stream.feed and
 	// stream.parse spans, llstar_stream_* counters). All may be nil.
 	Tracer  obs.Tracer
-	Flight  obs.Tracer
+	Flight  *flight.Recorder
 	Metrics *obs.Metrics
 }
 
@@ -98,9 +99,13 @@ type Session struct {
 	stats      Stats
 	sink       *sinkListener // the parser's probe consumer
 	lastEvents int64         // events already flushed to metrics
-	tr         obs.Tracer    // nil unless tracing or flight recording
 	mx         *obs.Metrics
-	t0         time.Duration
+	// spanSinks receive the session's own stream.* spans: the tracer
+	// and the flight recorder, each nil when absent. A span is timed on
+	// the clock of the sink it goes to, so t0, the session's start,
+	// holds one reading per sink.
+	spanSinks [2]obs.Tracer
+	t0        [2]time.Duration
 
 	// Incremental state, populated at Finish when opts.Incremental.
 	text   []byte
@@ -143,11 +148,15 @@ func New(res *core.Result, opts Options) (*Session, error) {
 	s.sink = &sinkListener{s: s}
 	probes := []runtime.Probe{s.sink}
 	throttle := interp.Throttles(res)
-	tp := obs.NewTraceProbe(opts.Tracer, throttle)
-	tp.SetFlight(opts.Flight)
-	if tp.Active() {
-		s.tr = tp
-		probes = append(probes, tp)
+	if tr := obs.Active(opts.Tracer); tr != nil {
+		s.spanSinks[0] = tr
+		probes = append(probes, obs.NewTraceProbe(tr, throttle))
+	}
+	if opts.Flight != nil {
+		s.spanSinks[1] = opts.Flight
+		fp := flight.NewProbe(throttle)
+		fp.Attach(opts.Flight)
+		probes = append(probes, fp)
 	}
 	if opts.Metrics != nil {
 		probes = append(probes, obs.NewMetricsProbe(opts.Metrics, throttle))
@@ -166,9 +175,7 @@ func New(res *core.Result, opts Options) (*Session, error) {
 	}
 	s.ip = interp.New(res, iopts)
 	s.ts = runtime.NewTokenStream(chunkSource{s})
-	if s.tr != nil {
-		s.t0 = s.tr.Now()
-	}
+	s.t0 = s.now()
 	if s.mx != nil {
 		s.mx.Counter("llstar_stream_sessions_total").Inc()
 	}
@@ -265,6 +272,29 @@ func (l *sinkListener) SyntaxError(se *runtime.SyntaxError) {
 	l.s.emit(Event{Kind: KindSyntaxError, Err: &SyntaxError{Offending: se.Offending, Rule: se.Rule, Msg: se.Msg}})
 }
 
+// now reads the clock of each span sink.
+func (s *Session) now() (t [2]time.Duration) {
+	for i, sink := range s.spanSinks {
+		if sink != nil {
+			t[i] = sink.Now()
+		}
+	}
+	return t
+}
+
+// span sends each span sink a stream.* span that began at t0.
+func (s *Session) span(name string, t0 [2]time.Duration, n int64, ok bool) {
+	for i, sink := range s.spanSinks {
+		if sink != nil {
+			sink.Emit(obs.Event{
+				Name: name, Cat: obs.PhaseStream, Ph: obs.PhSpan,
+				TS: t0[i], Dur: sink.Now() - t0[i], Decision: -1,
+				Rule: s.rule, N: n, OK: ok,
+			})
+		}
+	}
+}
+
 func (s *Session) flushEventCount() {
 	if s.mx != nil && s.stats.Events > s.lastEvents {
 		s.mx.Counter("llstar_stream_events_total").Add(s.stats.Events - s.lastEvents)
@@ -286,10 +316,7 @@ func (s *Session) Feed(p []byte) error {
 	if s.opts.MaxBytes > 0 && s.stats.BytesFed+int64(len(p)) > s.opts.MaxBytes {
 		return ErrTooLarge
 	}
-	var t0 time.Duration
-	if s.tr != nil {
-		t0 = s.tr.Now()
-	}
+	t0 := s.now()
 	s.lx.Feed(p)
 	if s.opts.Incremental {
 		s.text = append(s.text, p...)
@@ -301,13 +328,7 @@ func (s *Session) Feed(p []byte) error {
 	}
 	s.wake <- struct{}{}
 	s.wait()
-	if s.tr != nil {
-		s.tr.Emit(obs.Event{
-			Name: "stream.feed", Cat: obs.PhaseStream, Ph: obs.PhSpan,
-			TS: t0, Dur: s.tr.Now() - t0, Decision: -1,
-			Rule: s.rule, N: int64(len(p)), OK: s.err == nil,
-		})
-	}
+	s.span("stream.feed", t0, int64(len(p)), s.err == nil)
 	if s.done && s.err != nil {
 		return s.err
 	}
@@ -344,13 +365,7 @@ func (s *Session) finishStats() {
 		s.memo = s.ip.Memo()
 		s.clean = s.err == nil && len(s.ip.Errors()) == 0
 	}
-	if s.tr != nil {
-		s.tr.Emit(obs.Event{
-			Name: "stream.parse", Cat: obs.PhaseStream, Ph: obs.PhSpan,
-			TS: s.t0, Dur: s.tr.Now() - s.t0, Decision: -1,
-			Rule: s.rule, OK: s.err == nil, N: int64(s.stats.Tokens),
-		})
-	}
+	s.span("stream.parse", s.t0, int64(s.stats.Tokens), s.err == nil)
 }
 
 // Close aborts an unfinished session, terminating the parse goroutine.

@@ -87,7 +87,7 @@ type (
 func CoverageStrategy(i int) string { return cover.Strategy(i).String() }
 
 // Re-exported flight-recorder types. A FlightRecorder is a bounded
-// ring-buffer trace sink holding the last N runtime events of one
+// ring of compact records holding the last N runtime events of one
 // parse; a FlightCapture freezes that ring (plus request identity and
 // a stats summary) when an anomaly trigger fires; a FlightStore is the
 // bounded server-wide archive behind GET /debug/flight. See
@@ -499,12 +499,13 @@ type Parser struct {
 	ip *interp.Parser
 
 	// The parser's probe consumers: stats backs Stats (nil without
-	// WithStats), and trace — nil until a tracer or flight recorder is
-	// installed — serves both sinks. base joins every consumer but
-	// trace; traced adds trace.
-	stats        *Stats
-	trace        *obs.TraceProbe
-	base, traced runtime.Probe
+	// WithStats), and base joins every construction-time consumer.
+	// flight seats an attached flight recorder and withFlight joins it
+	// beside base; both are built on the first attach and kept.
+	stats      *Stats
+	base       runtime.Probe
+	flight     *flight.Probe
+	withFlight runtime.Probe
 }
 
 // ParserOption configures NewParser.
@@ -516,7 +517,7 @@ type parserConfig struct {
 	interp.Options
 	stats         bool
 	tracer        Tracer
-	flight        Tracer
+	flight        *FlightRecorder
 	metrics       *Metrics
 	coverage      *CoverageProfile
 	errorListener func(*SyntaxError)
@@ -557,8 +558,8 @@ func WithTracer(t Tracer) ParserOption { return func(o *parserConfig) { o.tracer
 // LoadOptions.Metrics.
 func WithMetrics(m *Metrics) ParserOption { return func(o *parserConfig) { o.metrics = m } }
 
-// WithFlightRecorder records the parser's runtime trace events into r —
-// a bounded last-N-events ring — alongside any tracer the parser has,
+// WithFlightRecorder records the parser's runtime events into r — a
+// bounded last-N-events ring — alongside any tracer the parser has,
 // composing with WithTracer in either order. Passing nil installs
 // nothing.
 func WithFlightRecorder(r *FlightRecorder) ParserOption {
@@ -617,29 +618,16 @@ func (g *Grammar) NewParser(opts ...ParserOption) *Parser {
 	if c.errorListener != nil {
 		probes = append(probes, runtime.ErrorListener(c.errorListener).Probe())
 	}
+	if tr := obs.Active(c.tracer); tr != nil {
+		probes = append(probes, obs.NewTraceProbe(tr, interp.Throttles(g.res)))
+	}
 	p.base = runtime.JoinProbes(probes...)
-	if obs.Active(c.tracer) != nil || c.flight != nil {
-		p.newTrace(c.tracer)
-		p.trace.SetFlight(c.flight)
-	}
-	c.Probe = p.probe()
+	c.Probe = p.base
 	p.ip = interp.New(g.res, c.Options)
-	return p
-}
-
-// newTrace installs the trace consumer, writing to tracer.
-func (p *Parser) newTrace(tracer Tracer) {
-	p.trace = obs.NewTraceProbe(tracer, interp.Throttles(p.g.res))
-	p.traced = runtime.JoinProbes(p.base, p.trace)
-}
-
-// probe is the interpreter's probe: the trace consumer joins the others
-// while it has a sink.
-func (p *Parser) probe() runtime.Probe {
-	if p.trace != nil && p.trace.Active() {
-		return p.traced
+	if c.flight != nil {
+		p.SetFlightRecorder(c.flight)
 	}
-	return p.base
+	return p
 }
 
 // Parse parses input starting at rule startRule (the grammar's first rule
@@ -659,21 +647,24 @@ func (p *Parser) Parse(startRule, input string) (*Tree, error) {
 
 // SetFlightRecorder attaches (or, with nil, detaches) a flight
 // recorder between parses, alongside the parser's construction-time
-// tracer. This is how the parse service rides a request-scoped ring on
-// a pooled parser: attach after checkout, detach before returning the
-// parser to its pool. Detached, the parser's probe is exactly its
-// construction-time one.
+// consumers. This is how the parse service rides a request-scoped ring
+// on a pooled parser: attach after checkout, detach before returning
+// the parser to its pool. Only the first attach allocates. Detached,
+// the parser's probe is exactly its construction-time one.
 func (p *Parser) SetFlightRecorder(r *FlightRecorder) {
-	switch {
-	case r != nil:
-		if p.trace == nil {
-			p.newTrace(nil)
+	if r == nil {
+		if p.flight != nil {
+			p.flight.Attach(nil)
 		}
-		p.trace.SetFlight(r)
-	case p.trace != nil:
-		p.trace.SetFlight(nil)
+		p.ip.SetProbe(p.base)
+		return
 	}
-	p.ip.SetProbe(p.probe())
+	if p.flight == nil {
+		p.flight = flight.NewProbe(interp.Throttles(p.g.res))
+		p.withFlight = runtime.JoinProbes(p.base, p.flight)
+	}
+	p.flight.Attach(r)
+	p.ip.SetProbe(p.withFlight)
 }
 
 // Errors returns the syntax errors recovered during the most recent

@@ -21,31 +21,38 @@ type ParserPool struct {
 	opts []ParserOption
 	pool sync.Pool
 
-	// mx mirrors the WithMetrics registry from opts (nil if none) so the
-	// pool can account hits and misses:
+	// With a WithMetrics registry in opts, the pool accounts hits,
+	// misses and returns, resolving each series once (all nil without
+	// one):
 	//   llstar_pool_gets_total{result="hit"|"miss"}
 	//   llstar_pool_puts_total
-	mx *Metrics
+	hits, misses, puts *obs.Counter
 }
 
 // NewParserPool returns a pool of parsers configured with opts (the same
 // options NewParser accepts). Parsers are created on demand and recycled
 // across Get/Put; idle parsers may be dropped by the garbage collector.
 func (g *Grammar) NewParserPool(opts ...ParserOption) *ParserPool {
-	return &ParserPool{g: g, opts: opts, mx: configure(opts).metrics}
+	pp := &ParserPool{g: g, opts: opts}
+	if mx := configure(opts).metrics; mx != nil {
+		pp.hits = mx.Counter(obs.Label("llstar_pool_gets_total", "result", "hit"))
+		pp.misses = mx.Counter(obs.Label("llstar_pool_gets_total", "result", "miss"))
+		pp.puts = mx.Counter("llstar_pool_puts_total")
+	}
+	return pp
 }
 
 // Get returns a Parser owned by the caller until Put. The Parser must be
 // used by one goroutine at a time, like any Parser.
 func (pp *ParserPool) Get() *Parser {
 	if v := pp.pool.Get(); v != nil {
-		if pp.mx != nil {
-			pp.mx.Counter(obs.Label("llstar_pool_gets_total", "result", "hit")).Inc()
+		if pp.hits != nil {
+			pp.hits.Inc()
 		}
 		return v.(*Parser)
 	}
-	if pp.mx != nil {
-		pp.mx.Counter(obs.Label("llstar_pool_gets_total", "result", "miss")).Inc()
+	if pp.misses != nil {
+		pp.misses.Inc()
 	}
 	return pp.g.NewParser(pp.opts...)
 }
@@ -56,8 +63,8 @@ func (pp *ParserPool) Put(p *Parser) {
 	if p == nil {
 		return
 	}
-	if pp.mx != nil {
-		pp.mx.Counter("llstar_pool_puts_total").Inc()
+	if pp.puts != nil {
+		pp.puts.Inc()
 	}
 	pp.pool.Put(p)
 }

@@ -3,6 +3,7 @@ package llstar_test
 import (
 	"io"
 	goruntime "runtime"
+	"strings"
 	"testing"
 
 	"llstar"
@@ -113,8 +114,58 @@ func TestProbeAllocGuard(t *testing.T) {
 		llstar.WithCoverage(f.g.NewCoverage()), llstar.WithMetrics(llstar.NewMetrics())), true)
 }
 
+// rendered keeps TestRenderAllocGuard's renderings live.
+var rendered string
+
+// TestRenderAllocGuard enforces Tree.String's cost contract: it renders
+// a Java1.5 tree of 120 or 480 lines in at most 2 allocations and at
+// most 1.25 bytes allocated per byte of output, and its output is the
+// s-expression a node-by-node rendering produces.
+func TestRenderAllocGuard(t *testing.T) {
+	f := newAllocFixture(t)
+	p := f.g.NewParser(llstar.WithTree())
+	for _, input := range []string{f.small, f.large} {
+		tree, err := p.Parse(f.w.Start, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree.String() != sexpr(tree) {
+			t.Fatal("String() differs from a node-by-node rendering")
+		}
+		const runs = 20
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		for range runs {
+			rendered = tree.String()
+		}
+		goruntime.ReadMemStats(&after)
+		allocs := float64(after.Mallocs-before.Mallocs) / runs
+		ratio := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(rendered))
+		t.Logf("%d bytes: %.1f allocs, %.2fx the output", len(rendered), allocs, ratio)
+		if allocs > 2 || ratio > 1.25 {
+			t.Errorf("rendering %d bytes took %.1f allocations and %.2fx the output; want <= 2 and <= 1.25x",
+				len(rendered), allocs, ratio)
+		}
+	}
+}
+
+// sexpr renders n node by node, as (rule child ...).
+func sexpr(n *llstar.Tree) string {
+	if n.Token != nil {
+		return n.Token.Text
+	}
+	parts := []string{"(" + n.Rule}
+	for _, c := range n.Children {
+		parts = append(parts, sexpr(c))
+	}
+	return strings.Join(parts, " ") + ")"
+}
+
 // BenchmarkProbeOverhead reports what each probe consumer costs on a
-// pooled (reused) parser, against the nil-probe "off" baseline:
+// pooled (reused) parser, against the nil-probe "off" baseline. The
+// "server" row is the parse service's default set, to compare with the
+// tree-only "tree" row: stats, coverage and metrics, plus a flight
+// recorder attached before each parse and detached after it.
 //
 //	go test -run '^$' -bench BenchmarkProbeOverhead -benchmem .
 func BenchmarkProbeOverhead(b *testing.B) {
@@ -134,6 +185,9 @@ func BenchmarkProbeOverhead(b *testing.B) {
 		flight bool
 	}{
 		{name: "off"},
+		{name: "tree", opts: []llstar.ParserOption{llstar.WithTree()}},
+		{name: "server", flight: true, opts: []llstar.ParserOption{llstar.WithTree(), llstar.WithStats(),
+			llstar.WithCoverage(g.NewCoverage()), llstar.WithMetrics(llstar.NewMetrics())}},
 		{name: "stats", opts: []llstar.ParserOption{llstar.WithStats()}},
 		{name: "coverage", opts: []llstar.ParserOption{llstar.WithCoverage(g.NewCoverage())}},
 		{name: "trace", opts: []llstar.ParserOption{llstar.WithTracer(llstar.NewJSONLTracer(io.Discard))}},
@@ -153,6 +207,9 @@ func BenchmarkProbeOverhead(b *testing.B) {
 				}
 				if _, err := p.Parse(w.Start, input); err != nil {
 					b.Fatal(err)
+				}
+				if c.flight {
+					p.SetFlightRecorder(nil)
 				}
 			}
 		})
