@@ -51,15 +51,27 @@ type Options struct {
 	// commits past them, bounding memory by grammar depth + lookahead
 	// instead of input length. Requires BuildTree to be off.
 	Window bool
+	// Editable marks trees the caller edits in place, as incremental
+	// sessions do when they graft a reparsed fragment: every node,
+	// children slice and leaf token is then allocated on its own, so a
+	// replaced subtree is freed instead of held by chunks it shares with
+	// the rest of the tree.
+	Editable bool
 }
 
 // Parser interprets an analyzed grammar. A Parser is reusable: every
-// ParseString/ParseTokens call resets the per-parse state (token stream,
-// memo table, speculation depth, recovered errors) before running, so
-// one instance can serve many sequential parses — lazily built
-// approximate-LL(k) tables carry over. It is NOT safe for concurrent
-// use; the analyzed core.Result it reads is immutable, so any number of
-// Parsers may share it across goroutines.
+// ParseString/ParseTokens call resets the per-parse state (speculation
+// depth, recovered errors, memo verdicts and counters) before running,
+// so one instance can serve many sequential parses. What carries over
+// is storage and tables, never results: the lazily built
+// approximate-LL(k) tables, the memo table (cleared, not rebuilt), the
+// stack tree building uses (emptied when each parse returns), and the
+// previous parse's tokens per input byte, which size the next token
+// buffer. A returned tree belongs to the caller: it is carved from
+// chunks that its parse allocated and dropped when it returned, so no
+// later parse writes to it. It is NOT safe for concurrent use; the
+// analyzed core.Result it reads is immutable, so any number of Parsers
+// may share it across goroutines.
 type Parser struct {
 	res  *core.Result
 	m    *atn.Machine
@@ -85,11 +97,24 @@ type Parser struct {
 	// probe is the one instrumentation point of the parse loop (nil
 	// when nothing observes the parse).
 	probe runtime.Probe
+
+	// tree builds the current parse's tree; hooked reports whether a
+	// predicate or action can read ctx.LastToken.
+	tree   treeArena
+	hooked bool
+	// reuse is the memo table ParseTokens clears and reuses; nil until
+	// the first memoizing parse, and again once Memo hands it out.
+	reuse *runtime.MemoTable
+	// sizedBytes and sizedTokens are the input length and token count of
+	// the last successful ParseString, which size the next token buffer.
+	sizedBytes, sizedTokens int
 }
 
 // New returns a parser for an analyzed grammar.
 func New(res *core.Result, opts Options) *Parser {
-	p := &Parser{res: res, m: res.Machine, dfas: res.DFAs, opts: opts, probe: opts.Probe}
+	p := &Parser{res: res, m: res.Machine, dfas: res.DFAs, opts: opts, probe: opts.Probe,
+		tree:   newTreeArena(opts.Editable),
+		hooked: opts.Hooks.Preds != nil || opts.Hooks.Actions != nil}
 	if opts.ApproxK > 0 {
 		p.approx = make([]*llk.Tables, len(res.DFAs))
 	}
@@ -166,8 +191,17 @@ func (p *Parser) ParseString(startRule, input string) (*Node, error) {
 	if p.m.Lex == nil {
 		return nil, fmt.Errorf("interp: grammar %s has no lexer rules; use ParseTokens", p.res.Grammar.Name)
 	}
-	lx := lexrt.New(p.m.Lex, input)
-	return p.ParseTokens(startRule, runtime.NewTokenStream(lx))
+	stream := runtime.NewTokenStream(lexrt.New(p.m.Lex, input))
+	if p.sizedBytes > 0 {
+		// Expect the last parse's tokens per byte, with some slack.
+		n := p.sizedTokens * len(input) / p.sizedBytes
+		stream.Grow(n + n/8 + 16)
+	}
+	root, err := p.ParseTokens(startRule, stream)
+	if err == nil {
+		p.sizedBytes, p.sizedTokens = len(input), stream.Size()
+	}
+	return root, err
 }
 
 // ParseTokens parses a token stream starting at startRule, requiring all
@@ -177,55 +211,19 @@ func (p *Parser) ParseTokens(startRule string, stream *runtime.TokenStream) (*No
 	if idx < 0 {
 		return nil, fmt.Errorf("interp: no parser rule %s", startRule)
 	}
-	p.stream = stream
-	p.memo = nil
+	var memo *runtime.MemoTable
 	if p.memoEnabled() {
-		p.memo = runtime.NewMemoTable(len(p.res.Grammar.Rules))
+		if p.reuse == nil {
+			p.reuse = runtime.NewMemoTable(len(p.res.Grammar.Rules))
+		} else {
+			p.reuse.Reset()
+		}
+		memo = p.reuse
 	}
 	if p.opts.Window && !p.opts.BuildTree {
 		stream.EnableWindow()
 	}
-	p.spec = 0
-	p.deepestIdx = -1
-	p.deepestErr = nil
-	p.errors = nil
-	p.ctx = runtime.Context{Stream: stream, State: p.opts.State}
-	if p.probe != nil {
-		p.probe.BeginParse(false)
-	}
-
-	var holder *Node
-	if p.opts.BuildTree {
-		holder = &Node{}
-	}
-	err := p.parseRule(idx, 0, holder)
-	if ferr := lexerFailure(stream); ferr != nil {
-		err = ferr
-	} else if err == nil && stream.LA(1) != token.EOF {
-		se := p.syntaxErr(stream.LT(1), startRule, "extraneous input after parse")
-		if rerr := p.report(se); rerr != nil {
-			err = rerr
-		}
-	}
-	if p.probe != nil {
-		// In recover mode report already announced every syntax error;
-		// only the terminal error of a non-recovering parse is new here.
-		if se, ok := err.(*runtime.SyntaxError); ok && !p.opts.Recover {
-			p.probe.SyntaxError(se)
-		}
-		p.probe.EndParse(runtime.ParseEnd{Rule: startRule, Tokens: stream.Size(), Memo: p.memo, Err: err})
-	}
-	if err != nil {
-		return nil, err
-	}
-	var root *Node
-	if holder != nil && len(holder.Children) > 0 {
-		root = holder.Children[0]
-	}
-	if lexErr := stream.Err(); lexErr != nil {
-		return nil, lexErr
-	}
-	return root, nil
+	return p.parse(startRule, idx, stream, memo, false)
 }
 
 // lexerFailure returns the token source's error when the lexer failed
@@ -243,8 +241,15 @@ func lexerFailure(stream *runtime.TokenStream) error {
 }
 
 // Memo returns the memo table of the most recent parse (nil when
-// memoization is off). Incremental sessions retain it across edits.
-func (p *Parser) Memo() *runtime.MemoTable { return p.memo }
+// memoization is off) and hands it to the caller: the parser no longer
+// clears it for reuse, and builds a new table for its next parse.
+// Incremental sessions retain it across edits.
+func (p *Parser) Memo() *runtime.MemoTable {
+	if p.memo == p.reuse {
+		p.reuse = nil
+	}
+	return p.memo
+}
 
 // ParseFragment parses a single invocation of startRule over stream,
 // without requiring the input to be consumed to EOF, and returns the
@@ -258,39 +263,53 @@ func (p *Parser) ParseFragment(startRule string, stream *runtime.TokenStream, me
 	if idx < 0 {
 		return nil, 0, fmt.Errorf("interp: no parser rule %s", startRule)
 	}
-	p.stream = stream
-	p.memo = memo
+	root, err := p.parse(startRule, idx, stream, memo, true)
+	return root, stream.Index(), err
+}
+
+// parse runs one invocation of rule idx, named rule, over stream with
+// memo (nil for none) as the speculation cache. A full parse must also
+// reach EOF; a fragment parse ends where the rule does. When it
+// returns, the parser holds no reference to the tree, the stream or the
+// tokens it consumed.
+func (p *Parser) parse(rule string, idx int, stream *runtime.TokenStream, memo *runtime.MemoTable, fragment bool) (*Node, error) {
+	p.stream, p.memo = stream, memo
 	p.spec = 0
 	p.deepestIdx = -1
 	p.deepestErr = nil
 	p.errors = nil
 	p.ctx = runtime.Context{Stream: stream, State: p.opts.State}
+	p.tree.reset()
 	if p.probe != nil {
-		p.probe.BeginParse(true)
+		p.probe.BeginParse(fragment)
 	}
-	var holder *Node
-	if p.opts.BuildTree {
-		holder = &Node{}
-	}
-	err := p.parseRule(idx, 0, holder)
+	err := p.parseRule(idx, 0, p.opts.BuildTree)
 	if ferr := lexerFailure(stream); ferr != nil {
 		err = ferr
+	} else if !fragment && err == nil && stream.LA(1) != token.EOF {
+		se := p.syntaxErr(stream.LT(1), rule, "extraneous input after parse")
+		if rerr := p.report(se); rerr != nil {
+			err = rerr
+		}
 	}
 	if p.probe != nil {
-		p.probe.EndParse(runtime.ParseEnd{Rule: startRule, Fragment: true, Tokens: stream.Size(), Memo: memo, Err: err})
+		// In recover mode report already announced every syntax error;
+		// only the terminal error of a non-recovering full parse is new
+		// here.
+		if se, ok := err.(*runtime.SyntaxError); ok && !fragment && !p.opts.Recover {
+			p.probe.SyntaxError(se)
+		}
+		p.probe.EndParse(runtime.ParseEnd{Rule: rule, Fragment: fragment, Tokens: stream.Size(), Memo: memo, Err: err})
 	}
-	stop := stream.Index()
+	root := p.tree.finish()
+	p.stream, p.ctx = nil, runtime.Context{}
+	if err == nil {
+		err = stream.Err()
+	}
 	if err != nil {
-		return nil, stop, err
+		return nil, err
 	}
-	if lexErr := stream.Err(); lexErr != nil {
-		return nil, stop, lexErr
-	}
-	var root *Node
-	if holder != nil && len(holder.Children) > 0 {
-		root = holder.Children[0]
-	}
-	return root, stop, nil
+	return root, nil
 }
 
 func (p *Parser) syntaxErr(at token.Token, rule, msg string) *runtime.SyntaxError {
@@ -307,8 +326,9 @@ func (p *Parser) noteFailure(err *runtime.SyntaxError) {
 }
 
 // parseRule parses one rule invocation. arg is the rule's integer
-// argument (parameterized rules); parent receives the rule's tree node.
-func (p *Parser) parseRule(idx, arg int, parent *Node) error {
+// argument (parameterized rules); build adds the rule's tree node to
+// the innermost open rule.
+func (p *Parser) parseRule(idx, arg int, build bool) error {
 	r := p.res.Grammar.Rules[idx]
 	if p.probe != nil {
 		p.probe.EnterRule(idx, r.Name, p.spec)
@@ -330,11 +350,14 @@ func (p *Parser) parseRule(idx, arg int, parent *Node) error {
 	}
 
 	var node *Node
-	if parent != nil && p.spec == 0 {
-		node = &Node{Rule: r.Name}
-		parent.Children = append(parent.Children, node)
+	var base int
+	if build && p.spec == 0 {
+		node, base = p.tree.enter(r.Name)
 	}
-	err := p.walk(p.m.RuleStart[idx], p.m.RuleStop[idx], &frame{rule: r, arg: arg, node: node})
+	err := p.walk(p.m.RuleStart[idx], p.m.RuleStop[idx], &frame{rule: r, arg: arg, build: node != nil})
+	if node != nil {
+		p.tree.exit(node, base)
+	}
 	if p.probe != nil {
 		p.probe.ExitRule(idx, r.Name, p.spec)
 	}
@@ -350,7 +373,7 @@ func (p *Parser) parseRule(idx, arg int, parent *Node) error {
 
 // frame is one rule invocation's context.
 type frame struct {
-	rule *grammar.Rule
-	arg  int
-	node *Node
+	rule  *grammar.Rule
+	arg   int
+	build bool // the invocation adds its tokens and rules to the tree
 }

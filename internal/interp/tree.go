@@ -141,6 +141,132 @@ func (n *Node) TokenAt(i int) *token.Token {
 	return c.Token
 }
 
+// Slab chunk sizes, in elements: each parse's first chunks are small,
+// so a small parse allocates little, and each next chunk doubles up to
+// the cap.
+const (
+	firstNodeChunk, lastNodeChunk   = 32, 1024
+	firstChildChunk, lastChildChunk = 64, 2048
+	firstTokenChunk, lastTokenChunk = 16, 512
+)
+
+// slab hands out elements of chunks it allocates in sizes doubling
+// from first to last. It never hands out an element twice: a chunk
+// lives as long as anything carved from it, so a slab must not outlive
+// the parse that fills it. A request larger than the next chunk gets an
+// allocation of its own, and first == 0 allocates every request on its
+// own.
+type slab[T any] struct {
+	free        []T // unused tail of the current chunk
+	next        int // size of the next chunk
+	first, last int
+}
+
+func newSlab[T any](first, last int) slab[T] {
+	return slab[T]{next: first, first: first, last: last}
+}
+
+// take returns n fresh elements as a slice of length and capacity n.
+func (s *slab[T]) take(n int) []T {
+	if n > len(s.free) {
+		if n > s.next {
+			return make([]T, n)
+		}
+		s.free = make([]T, s.next)
+		s.next = min(2*s.next, s.last)
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// drop forgets the current chunk and restarts the chunk sizes.
+func (s *slab[T]) drop() { s.free, s.next = nil, s.first }
+
+// treeArena builds one parse's tree. Nodes, rule nodes' children
+// slices and the tokens leaves point at are carved from slabs; the
+// children of the rules still being parsed wait on a stack until their
+// rule returns. Every parse starts on fresh slabs and drops them when it
+// returns, so a returned tree shares no memory with a later parse.
+type treeArena struct {
+	nodes    slab[Node]
+	children slab[*Node]
+	tokens   slab[token.Token]
+	// open holds the children of every rule invocation still being
+	// built, innermost last.
+	open []*Node
+}
+
+// newTreeArena returns an arena that carves from chunks, or, for a
+// caller that edits its trees in place, allocates every node, children
+// slice and token on its own: a chunk would keep a replaced subtree
+// alive as long as any of its neighbours.
+func newTreeArena(editable bool) treeArena {
+	if editable {
+		return treeArena{}
+	}
+	return treeArena{
+		nodes:    newSlab[Node](firstNodeChunk, lastNodeChunk),
+		children: newSlab[*Node](firstChildChunk, lastChildChunk),
+		tokens:   newSlab[token.Token](firstTokenChunk, lastTokenChunk),
+	}
+}
+
+// token returns a stable copy of t.
+func (b *treeArena) token(t token.Token) *token.Token {
+	tok := &b.tokens.take(1)[0]
+	*tok = t
+	return tok
+}
+
+// leaf adds a leaf for t to the innermost open rule.
+func (b *treeArena) leaf(t token.Token) *Node {
+	n := &b.nodes.take(1)[0]
+	n.Token = b.token(t)
+	b.open = append(b.open, n)
+	return n
+}
+
+// enter adds a node for rule to the innermost open rule and opens it;
+// its children start at the returned stack height.
+func (b *treeArena) enter(rule string) (*Node, int) {
+	n := &b.nodes.take(1)[0]
+	n.Rule = rule
+	b.open = append(b.open, n)
+	return n, len(b.open)
+}
+
+// exit closes n, whose children start at stack height base, moving them
+// into an exact-length slice. The stack keeps no reference to them.
+func (b *treeArena) exit(n *Node, base int) {
+	if kids := b.open[base:]; len(kids) > 0 {
+		n.Children = b.children.take(len(kids))
+		copy(n.Children, kids)
+		clear(kids)
+		b.open = b.open[:base]
+	}
+}
+
+// finish ends a parse: it returns the root the parse built (nil if
+// none) and resets the arena.
+func (b *treeArena) finish() *Node {
+	var root *Node
+	if len(b.open) > 0 {
+		root = b.open[0]
+	}
+	b.reset()
+	return root
+}
+
+// reset drops every reference the arena holds to a parse's tree.
+func (b *treeArena) reset() {
+	clear(b.open)
+	b.open = b.open[:0]
+	b.nodes.drop()
+	b.children.drop()
+	b.tokens.drop()
+}
+
 // runtimeEvalArg adapts runtime.EvalRuleArg for walk.
 func runtimeEvalArg(text string, callerArg int) (int, error) {
 	if text == "" {

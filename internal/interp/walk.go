@@ -71,7 +71,7 @@ func (p *Parser) walk(cur, stop *atn.State, fr *frame) error {
 			if err != nil {
 				return fmt.Errorf("interp: rule %s: %v", fr.rule.Name, err)
 			}
-			if err := p.parseRule(tr.RuleIndex, arg, fr.node); err != nil {
+			if err := p.parseRule(tr.RuleIndex, arg, fr.build); err != nil {
 				return err
 			}
 			cur = tr.Follow
@@ -151,16 +151,19 @@ func (p *Parser) noteResync(dec *atn.Decision, fr *frame, deleted int, ok bool) 
 }
 
 // consume advances past t, attaching it to the parse tree when building.
+// ctx.LastToken points at a stable copy of t, the leaf's token, when a
+// leaf is built or a predicate or action can read it.
 func (p *Parser) consume(t token.Token, fr *frame) {
 	p.stream.Consume()
-	tok := t
-	p.ctx.LastToken = &tok
+	switch {
+	case p.spec == 0 && fr.build:
+		p.ctx.LastToken = p.tree.leaf(t).Token
+	case p.hooked:
+		p.ctx.LastToken = p.tree.token(t)
+	}
 	if p.spec == 0 {
-		if fr.node != nil {
-			fr.node.Children = append(fr.node.Children, &Node{Token: &tok})
-		}
 		if p.probe != nil {
-			p.probe.Token(tok)
+			p.probe.Token(t)
 		}
 		// Committed past this token: in windowed mode release the
 		// retired prefix and its now-unreachable memo verdicts.

@@ -25,6 +25,16 @@ func NewMemoTable(rows int) *MemoTable {
 	return &MemoTable{byRule: make([]map[int]int, rows)}
 }
 
+// Reset empties the table for another parse and zeroes its counters.
+// Each row keeps its storage, so a reused table stops allocating once
+// it has grown to the size its parses need.
+func (m *MemoTable) Reset() {
+	for _, row := range m.byRule {
+		clear(row)
+	}
+	m.hits, m.misses, m.stores = 0, 0, 0
+}
+
 // Get looks up a prior speculative parse of rule at start. ok reports
 // whether an entry exists; stop is the recorded stop index or MemoFailed.
 func (m *MemoTable) Get(rule, start int) (stop int, ok bool) {

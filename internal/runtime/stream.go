@@ -7,6 +7,8 @@
 package runtime
 
 import (
+	"slices"
+
 	"llstar/internal/token"
 )
 
@@ -86,6 +88,11 @@ func NewTokenStream(src TokenSource) *TokenStream {
 func NewTokenStreamAt(src TokenSource, base int) *TokenStream {
 	return &TokenStream{src: src, base: base, p: base, high: -1}
 }
+
+// Grow reserves buffer room for n more tokens. A caller that can
+// estimate the input's token count calls it before the parse, so the
+// buffer is allocated once instead of regrown as the parse reads ahead.
+func (s *TokenStream) Grow(n int) { s.tokens = slices.Grow(s.tokens, n) }
 
 // EnableWindow allows TrimTo to discard retired tokens. Off by default:
 // batch parsing keeps the whole buffer so the tree and error paths can

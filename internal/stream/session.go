@@ -168,7 +168,8 @@ func New(res *core.Result, opts Options) (*Session, error) {
 		Probe:   runtime.JoinProbes(probes...),
 	}
 	if opts.Incremental {
-		iopts.BuildTree = true
+		// Edits graft reparsed fragments into the retained tree.
+		iopts.BuildTree, iopts.Editable = true, true
 		s.lx.RecordUnits()
 	} else {
 		iopts.Window = true

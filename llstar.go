@@ -490,7 +490,8 @@ func (g *Grammar) GenerateGo(pkg string) ([]byte, error) {
 //
 // A Parser carries strictly per-parse mutable state (memo table, stats,
 // speculation stack, recovered errors), reset at the start of every
-// Parse, so one instance can serve many sequential parses. It must be
+// Parse, so one instance can serve many sequential parses. A returned
+// tree belongs to the caller: later parses never write to it. It must be
 // used by one goroutine at a time; for concurrent parsing share the
 // immutable Grammar and give each goroutine its own Parser, or use a
 // ParserPool / Grammar.ParseConcurrent (see docs/concurrency.md).

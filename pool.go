@@ -8,14 +8,18 @@ import (
 
 // ParserPool recycles Parsers for one Grammar so a loaded grammar can
 // serve many simultaneous parses without re-allocating per-parse
-// machinery (lazily built lookahead tables, stats tables, tracer
-// bindings) on every request. It is safe for concurrent use: Get hands
-// each goroutine a private Parser; Put returns it for reuse.
+// machinery on every request: lazily built lookahead tables, stats
+// tables, tracer bindings, the memo table's storage, the stack trees
+// are built on, and the token density that sizes the next token
+// buffer. It is safe for concurrent use: Get hands each goroutine a
+// private Parser; Put returns it for reuse.
 //
 // The zero value is not usable; construct pools with
 // Grammar.NewParserPool. All pooled Parsers share the pool's option set
-// — per-request state (memo table, stats, errors) is reset by Parse, so
-// a recycled Parser is indistinguishable from a fresh one.
+// — per-request state (memo verdicts, stats, errors) is reset by Parse,
+// so a recycled Parser is indistinguishable from a fresh one. A tree
+// belongs to the caller once Parse returns it: no later parse writes to
+// it, so it may be rendered after its Parser went back to the pool.
 type ParserPool struct {
 	g    *Grammar
 	opts []ParserOption

@@ -41,10 +41,12 @@ func newAllocFixture(t *testing.T) *allocFixture {
 		rec: llstar.NewFlightRecorder(256)}
 }
 
-// perParse returns p's mean allocations per parse of input. It is a mean
-// over many parses because the memo table's maps allocate a
-// hash-seed-dependent extra bucket now and then. With flight set, a
-// reset recorder is attached before each parse and detached after it.
+// perParse returns p's mean allocations per parse of input, after one
+// warm-up parse that grows the storage a parser reuses (memo table,
+// tree-building stack). Counts barely vary from parse to parse; the
+// mean smooths what the runtime allocates on its own now and then.
+// With flight set, a reset recorder is attached before each parse and
+// detached after it.
 func (f *allocFixture) perParse(t *testing.T, p *llstar.Parser, input string, flight bool) float64 {
 	t.Helper()
 	const runs = 20
@@ -112,6 +114,35 @@ func TestProbeAllocGuard(t *testing.T) {
 	})
 	f.checkConstant(t, f.g.NewParser(llstar.WithTree(), llstar.WithStats(),
 		llstar.WithCoverage(f.g.NewCoverage()), llstar.WithMetrics(llstar.NewMetrics())), true)
+}
+
+// TestParseAllocGuard enforces the parse loop's allocation budget: a
+// warmed parser parses Java1.5 at 120 and 480 lines in at most 1.5
+// allocations per token plus 64, with and without a tree. Trees come
+// from per-parse chunks, and the memo table and token buffer are not
+// rebuilt by appending; what remains per token is mostly the lexer's
+// token texts and the messages of discarded speculative errors.
+func TestParseAllocGuard(t *testing.T) {
+	f := newAllocFixture(t)
+	leaves := f.g.NewParser(llstar.WithTree())
+	for _, input := range []string{f.small, f.large} {
+		tree, err := leaves.Parse(f.w.Start, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tokens := len(tree.Leaves())
+		limit := 1.5*float64(tokens) + 64
+		for name, p := range map[string]*llstar.Parser{
+			"bare": f.g.NewParser(),
+			"tree": f.g.NewParser(llstar.WithTree()),
+		} {
+			got := f.perParse(t, p, input, false)
+			t.Logf("%s, %d tokens: %.0f allocs/parse, %.2f per token", name, tokens, got, got/float64(tokens))
+			if got > limit {
+				t.Errorf("%s parse of %d tokens: %.0f allocations, want <= %.0f", name, tokens, got, limit)
+			}
+		}
+	}
 }
 
 // rendered keeps TestRenderAllocGuard's renderings live.
