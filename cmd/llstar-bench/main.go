@@ -9,10 +9,6 @@
 //	llstar-bench -profile         # where analysis time goes, per grammar
 //	llstar-bench -workers 8       # parallel analysis speedup table
 //	llstar-bench -concurrent 16   # concurrent-parsing throughput table
-//	llstar-bench -coldwarm        # cold analysis vs. cache-hit load table
-//	llstar-bench -serve           # llstar-serve load test (latency/throughput)
-//	llstar-bench -serve -serve-url http://host:8080   # against a running server
-//	llstar-bench -fleet 3         # fleet scaling: 1 replica vs N cluster-attached replicas
 //	llstar-bench -compiled        # interpreter vs generated-parser throughput table
 //	llstar-bench -stream          # streaming sessions: throughput, bounded memory, edit latency
 //	llstar-bench -compiled -json BENCH.json   # persist the generated-parser counters too
@@ -21,13 +17,15 @@
 //	                                     # exit 1 on counter drift or >15% timing loss
 //	llstar-bench -hotspots        # per-grammar coverage + hotspot attribution
 //	llstar-bench -cover-html profiles/   # one HTML hotspot report per grammar
+//
+// Serving, grammar-load and artifact-load timings come from the repo
+// benchmark instead: bash cmd/llstar-benchmark/run.sh --workload ...
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"llstar/internal/bench"
 	"llstar/internal/genrun"
@@ -73,13 +71,6 @@ func main() {
 	workers := flag.Int("workers", 0, "print the parallel-analysis speedup table for this many workers (0 = skip; -1 = GOMAXPROCS)")
 	runs := flag.Int("runs", 3, "timing runs per configuration for -workers (best kept)")
 	concurrent := flag.Int("concurrent", 0, "print the concurrent-parsing throughput table for this many goroutines (0 = skip; -1 = GOMAXPROCS)")
-	coldwarm := flag.Bool("coldwarm", false, "print the cold-analysis vs. cache-hit load-time table")
-	serve := flag.Bool("serve", false, "run the llstar-serve load harness and print the latency/throughput table")
-	serveURL := flag.String("serve-url", "", "target a running llstar-serve instead of booting one in-process")
-	serveConcurrency := flag.Int("serve-concurrency", 16, "closed-loop clients for -serve")
-	serveDuration := flag.Duration("serve-duration", 5*time.Second, "measurement window for -serve")
-	serveLines := flag.Int("serve-lines", 200, "approximate generated input size in lines for -serve")
-	fleet := flag.Int("fleet", 0, "run the fleet scaling harness with this many cluster-attached replicas (0 = skip); with -json, persist the fleet section too")
 	compiled := flag.Bool("compiled", false, "also build and time the generated parsers and print the interpreter-vs-generated table")
 	stream := flag.Bool("stream", false, "print the streaming table (throughput, bounded memory, incremental edit latency); with -json, persist the stream counters too")
 	jsonOut := flag.String("json", "", "write a machine-readable result set (counters + timings) to this file")
@@ -93,20 +84,6 @@ func main() {
 
 	if *compare != "" {
 		if err := runCompare(*compare, *compareThreshold, *compareTiming, *runs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fleet > 0 && !*compiled && *jsonOut == "" {
-		fmt.Println("== Fleet scaling ==")
-		if _, err := bench.FleetLoad(os.Stdout, bench.FleetLoadOptions{
-			Replicas:    *fleet,
-			Concurrency: *serveConcurrency,
-			Duration:    *serveDuration,
-			Seed:        *seed,
-			Lines:       *serveLines,
-		}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -131,21 +108,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-		}
-		if *fleet > 0 {
-			fmt.Println("== Fleet scaling ==")
-			fr, err := bench.FleetLoad(os.Stdout, bench.FleetLoadOptions{
-				Replicas:    *fleet,
-				Concurrency: *serveConcurrency,
-				Duration:    *serveDuration,
-				Seed:        *seed,
-				Lines:       *serveLines,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			rs.Fleet = fr
 		}
 		if *jsonOut == "" {
 			return
@@ -195,21 +157,6 @@ func main() {
 		}
 		return
 	}
-	if *serve {
-		fmt.Println("== llstar-serve load test ==")
-		err := bench.ServeLoad(os.Stdout, bench.ServeLoadOptions{
-			URL:         *serveURL,
-			Concurrency: *serveConcurrency,
-			Duration:    *serveDuration,
-			Seed:        *seed,
-			Lines:       *serveLines,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *profile {
 		if err := analysisProfile(os.Stdout); err != nil {
@@ -218,15 +165,7 @@ func main() {
 		}
 		return
 	}
-	if *workers != 0 || *concurrent != 0 || *coldwarm {
-		if *coldwarm {
-			fmt.Println("== Cold analysis vs. warm cache load ==")
-			if err := bench.ColdWarm(os.Stdout, *runs); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Println()
-		}
+	if *workers != 0 || *concurrent != 0 {
 		if *workers != 0 {
 			fmt.Println("== Parallel analysis speedup ==")
 			if err := bench.AnalysisSpeedup(os.Stdout, *workers, *runs); err != nil {

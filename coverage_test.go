@@ -3,6 +3,7 @@ package llstar_test
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -11,67 +12,81 @@ import (
 	"llstar/internal/bench"
 )
 
-// TestCoverageStrategySumsMatchStats drives the acceptance criterion on
-// the Java1.5 workload: with coverage and stats both enabled, the
-// per-decision strategy counts must sum to exactly the prediction
-// events ParseStats reports — both overall and per decision.
+// TestCoverageStrategySumsMatchStats checks that every surface reading
+// the parser's counter block reports the same counts, on each of the
+// six benchmark grammars, with stats, coverage and metrics installed on
+// one parser. Per decision, coverage predictions equal the Stats events
+// and the count of llstar_lookahead_depth{decision}, and the strategy
+// split sums to them; backtracks agree across Stats, coverage and
+// llstar_predict_backtrack_total; and the Stats memo totals equal
+// llstar_memo_{hits,misses}_total.
 func TestCoverageStrategySumsMatchStats(t *testing.T) {
-	w, err := bench.ByName("Java1.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := w.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof := g.NewCoverage()
-	p := g.NewParser(llstar.WithStats(), llstar.WithCoverage(prof))
-	input := w.Input(1, 400)
-	if _, err := p.Parse(w.Start, input); err != nil {
-		t.Fatal(err)
-	}
-	s := prof.Snapshot()
-	stats := p.Stats()
-
-	if got, want := s.TotalPredictions(), int64(stats.TotalEvents()); got != want {
-		t.Fatalf("coverage predictions %d != stats events %d", got, want)
-	}
-	if s.TotalPredictions() == 0 {
-		t.Fatal("no predictions recorded on java15 corpus")
-	}
-	for i, d := range s.Decisions {
-		var sum int64
-		for _, n := range d.Strategy {
-			sum += n
-		}
-		if sum != d.Predictions {
-			t.Errorf("decision %d: strategy sum %d != predictions %d", i, sum, d.Predictions)
-		}
-		if d.Predictions != int64(stats.Decisions[i].Events) {
-			t.Errorf("decision %d: coverage %d events, stats %d", i, d.Predictions, stats.Decisions[i].Events)
-		}
-		if d.Strategy[3] != int64(stats.Decisions[i].BacktrackEvents) {
-			t.Errorf("decision %d: coverage backtrack %d, stats %d", i, d.Strategy[3], stats.Decisions[i].BacktrackEvents)
-		}
-	}
-	// Java1.5 is a PEG-mode grammar: the corpus must exercise
-	// backtracking somewhere, and the hotspot report must say so.
-	if sum := s.StrategyTotals(); sum[3] == 0 {
-		t.Error("java15 corpus produced no backtrack predictions")
-	}
-	var hot bytes.Buffer
-	if err := s.WriteHotspots(&hot, 10); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(hot.String(), "backtrack") {
-		t.Errorf("hotspot table missing strategy columns:\n%s", hot.String())
-	}
-	var rep bytes.Buffer
-	if err := s.WriteReport(&rep); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.String(), "grammar coverage: Java15") {
-		t.Errorf("report header wrong:\n%.200s", rep.String())
+	for _, w := range bench.Workloads {
+		t.Run(w.Name, func(t *testing.T) {
+			g, err := w.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof, mx := g.NewCoverage(), llstar.NewMetrics()
+			p := g.NewParser(llstar.WithStats(), llstar.WithCoverage(prof), llstar.WithMetrics(mx))
+			if _, err := p.Parse(w.Start, w.Input(1, 400)); err != nil {
+				t.Fatal(err)
+			}
+			s, stats := prof.Snapshot(), p.Stats()
+			if s.TotalPredictions() == 0 {
+				t.Fatal("no predictions recorded")
+			}
+			if got, want := s.TotalPredictions(), int64(stats.TotalEvents()); got != want {
+				t.Fatalf("coverage predictions %d != stats events %d", got, want)
+			}
+			for i, d := range s.Decisions {
+				var sum int64
+				for _, n := range d.Strategy {
+					sum += n
+				}
+				if sum != d.Predictions {
+					t.Errorf("decision %d: strategy sum %d != predictions %d", i, sum, d.Predictions)
+				}
+				if d.Predictions != int64(stats.Decisions[i].Events) {
+					t.Errorf("decision %d: coverage %d events, stats %d", i, d.Predictions, stats.Decisions[i].Events)
+				}
+				if d.Strategy[3] != int64(stats.Decisions[i].BacktrackEvents) {
+					t.Errorf("decision %d: coverage backtrack %d, stats %d", i, d.Strategy[3], stats.Decisions[i].BacktrackEvents)
+				}
+				if n := mx.Histogram(llstar.Label("llstar_lookahead_depth", "decision", strconv.Itoa(i))).Count(); n != d.Predictions {
+					t.Errorf("decision %d: lookahead depth count %d, coverage %d predictions", i, n, d.Predictions)
+				}
+			}
+			back := s.StrategyTotals()[3]
+			if n := mx.Counter("llstar_predict_backtrack_total").Value(); n != back || n != int64(stats.BacktrackEvents()) {
+				t.Errorf("backtracks: metrics %d, coverage %d, stats %d", n, back, stats.BacktrackEvents())
+			}
+			if h, m := mx.Counter("llstar_memo_hits_total").Value(), mx.Counter("llstar_memo_misses_total").Value(); h != int64(stats.MemoHits) || m != int64(stats.MemoMisses) {
+				t.Errorf("memo hits/misses: metrics %d/%d, stats %d/%d", h, m, stats.MemoHits, stats.MemoMisses)
+			}
+			if w.Name != "Java1.5" {
+				return
+			}
+			// Java1.5 is a PEG-mode grammar: the corpus must exercise
+			// backtracking somewhere, and the hotspot report must say so.
+			if back == 0 {
+				t.Error("java15 corpus produced no backtrack predictions")
+			}
+			var hot bytes.Buffer
+			if err := s.WriteHotspots(&hot, 10); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(hot.String(), "backtrack") {
+				t.Errorf("hotspot table missing strategy columns:\n%s", hot.String())
+			}
+			var rep bytes.Buffer
+			if err := s.WriteReport(&rep); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(rep.String(), "grammar coverage: Java15") {
+				t.Errorf("report header wrong:\n%.200s", rep.String())
+			}
+		})
 	}
 }
 

@@ -41,13 +41,6 @@ type ResultSet struct {
 	// when the run includes the streaming engine (-stream). Nil on
 	// older baselines — Compare tolerates either way.
 	Stream *StreamResult `json:"stream,omitempty"`
-
-	// Fleet is the distributed-serving section, filled from FleetLoad
-	// when the run includes the fleet harness (-fleet). Every field in
-	// it is timing-derived and machine-shaped, so Compare never gates
-	// on it — it is trajectory data, like ParseNanos. Nil on older
-	// baselines and on runs without -fleet.
-	Fleet *FleetResult `json:"fleet,omitempty"`
 }
 
 // WorkloadResult is one grammar's row: the static analysis shape, the
@@ -306,15 +299,6 @@ func Compare(out io.Writer, baseline, cur *ResultSet, opts CompareOptions) bool 
 	}
 	for name := range base {
 		fail("%s: missing from current results", name)
-	}
-	// The fleet section is all throughput ratios — noisy and
-	// hardware-shaped — so it is never gated, only surfaced.
-	if baseline.Fleet != nil && cur.Fleet != nil {
-		fmt.Fprintf(out, "note: fleet scaling %.2fx -> %.2fx (%d replicas, informational)\n",
-			baseline.Fleet.Scaling, cur.Fleet.Scaling, cur.Fleet.Replicas)
-	} else if baseline.Fleet != nil {
-		fmt.Fprintf(out, "note: baseline has a fleet section (%.2fx at %d replicas); current run skipped -fleet\n",
-			baseline.Fleet.Scaling, baseline.Fleet.Replicas)
 	}
 	// The incremental edit benchmark compares only when the baseline
 	// recorded one: token count and reuse percentage are deterministic.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"llstar"
@@ -92,25 +91,6 @@ func TestSerializationGolden(t *testing.T) {
 				t.Errorf("decoded analysis drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 			}
 		})
-	}
-}
-
-// TestColdWarmTable smoke-tests the llstar-bench -coldwarm path: the
-// table must render for every grammar, with every warm load actually
-// hitting the cache. (Actual speedup is hardware-dependent and not
-// asserted.)
-func TestColdWarmTable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing table in -short mode")
-	}
-	var b strings.Builder
-	if err := ColdWarm(&b, 1); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range Workloads {
-		if !strings.Contains(b.String(), w.Name) {
-			t.Errorf("cold/warm table missing %s:\n%s", w.Name, b.String())
-		}
 	}
 }
 

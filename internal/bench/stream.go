@@ -175,11 +175,27 @@ func editBench(n, runs int) (*StreamResult, error) {
 	if edits == 0 {
 		return nil, fmt.Errorf("edit bench: no edit markers found")
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	sr.EditNanos = lat[len(lat)/2].Nanoseconds()
+	sr.EditNanos = percentile(lat, 0.5).Nanoseconds()
 	sr.FullParseNanos = full.Nanoseconds()
 	sr.EditReusedTokensPct = math.Round(10000*reuseSum/float64(edits)) / 100
 	return sr, nil
+}
+
+// percentile returns the q-quantile of ds (nearest-rank). It sorts in
+// place.
+func percentile(ds []time.Duration, q float64) time.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	idx := int(q*float64(len(ds))+0.5) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(ds) {
+		idx = len(ds) - 1
+	}
+	return ds[idx]
 }
 
 // StreamTable prints the streaming section: per-workload streamed

@@ -3,6 +3,7 @@ package bench
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"llstar"
 )
@@ -160,5 +161,19 @@ func TestCompareToleratesMissingStream(t *testing.T) {
 	out.Reset()
 	if Compare(&out, cur, baseline, CompareOptions{}) {
 		t.Error("stream-bearing baseline accepted a run without stream data")
+	}
+}
+
+func TestPercentile(t *testing.T) {
+	ms := time.Millisecond
+	ds := []time.Duration{5 * ms, 1 * ms, 4 * ms, 2 * ms, 3 * ms}
+	if got := percentile(ds, 0.5); got != 3*ms {
+		t.Errorf("p50 = %v", got)
+	}
+	if got := percentile(ds, 0.99); got != 5*ms {
+		t.Errorf("p99 = %v", got)
+	}
+	if got := percentile(nil, 0.5); got != 0 {
+		t.Errorf("empty = %v", got)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"llstar/internal/dfa"
 	"llstar/internal/grammar"
 	"llstar/internal/obs"
+	"llstar/internal/runtime"
 )
 
 // Options tune the analysis.
@@ -138,6 +139,28 @@ type Result struct {
 	Decisions []DecisionInfo
 	Warnings  []Warning
 	Elapsed   time.Duration
+
+	shapeOnce sync.Once
+	shape     *runtime.Shape
+}
+
+var classThrottle = [...]runtime.Throttle{
+	ClassFixed: runtime.ThrottleFixed, ClassCyclic: runtime.ThrottleCyclic, ClassBacktrack: runtime.ThrottleBacktrack,
+}
+
+// Shape returns the grammar's static decision table, built on first use
+// and shared by every parser and probe consumer of the grammar.
+func (r *Result) Shape() *runtime.Shape {
+	r.shapeOnce.Do(func() {
+		s := &runtime.Shape{Decisions: make([]runtime.DecisionShape, len(r.DFAs)), Rules: len(r.Grammar.Rules)}
+		for _, di := range r.Decisions {
+			s.Decisions[di.Decision.ID] = runtime.DecisionShape{
+				Class: classThrottle[di.Class], NAlts: di.Decision.NAlts, DFAStates: di.DFA.NumStates(),
+			}
+		}
+		r.shape = s
+	})
+	return r.shape
 }
 
 // NumDecisions returns the number of parsing decisions analyzed.

@@ -32,9 +32,41 @@ func testMeta() Meta {
 	}
 }
 
+// testShape lays out a parser's counter block like testMeta.
+func testShape() *runtime.Shape {
+	return &runtime.Shape{Decisions: []runtime.DecisionShape{
+		{Class: runtime.ThrottleFixed, NAlts: 2, DFAStates: 3},
+		{Class: runtime.ThrottleCyclic, NAlts: 3, DFAStates: 4},
+		{Class: runtime.ThrottleBacktrack, NAlts: 2, DFAStates: 0},
+	}, Rules: 3}
+}
+
+// recorder is a parser's counter block, shaped like testMeta and
+// merging each parse into a profile, with a parse begun.
+type recorder struct{ *runtime.ParseStats }
+
+func newRecorder(p *Profile) recorder {
+	r := recorder{runtime.NewParseStats(testShape())}
+	r.OnEnd(p.AddParse)
+	r.BeginParse(false)
+	return r
+}
+
+// Prediction feeds one prediction event.
+func (r recorder) Prediction(dec, alt, k int, backtracked, failed bool) {
+	r.Predict(runtime.Prediction{Decision: dec, Alt: alt, K: k, Backtracked: backtracked, Failed: failed})
+}
+
+// flush ends the parse as a fragment reparse, which merges its events
+// but counts no parse.
+func (r recorder) flush() { r.EndParse(runtime.ParseEnd{Fragment: true}) }
+
+// TestRecorderFlushSnapshot drives a parser's counter block with every
+// event it counts and checks what one finished parse merges into the
+// profile.
 func TestRecorderFlushSnapshot(t *testing.T) {
 	p := NewProfile(testMeta())
-	r := p.NewRecorder()
+	r := newRecorder(p)
 
 	r.Prediction(0, 1, 1, false, false) // LL(1)
 	r.Prediction(0, 2, 3, false, false) // LL(k)
@@ -54,25 +86,24 @@ func TestRecorderFlushSnapshot(t *testing.T) {
 	r.Memo(2, "", 0, 1, true, false)
 	r.Memo(2, "", 0, 1, false, false)
 	r.EndParse(runtime.ParseEnd{Tokens: 42})
-	r.Flush()
 
 	s := p.Snapshot()
 	if s.Parses != 1 || s.Tokens != 42 || s.ParseErrors != 0 {
 		t.Fatalf("parse totals: %+v", s)
 	}
 	d0 := s.Decisions[0]
-	if d0.Predictions != 2 || d0.Strategy[StratLL1] != 1 || d0.Strategy[StratLLk] != 1 {
+	if d0.Predictions != 2 || d0.Strategy[runtime.StratLL1] != 1 || d0.Strategy[runtime.StratLLk] != 1 {
 		t.Fatalf("d0 strategies: %+v", d0)
 	}
 	if d0.MaxK != 3 || d0.EdgesTaken != 2 || d0.StatesCovered() != 2 || d0.AltsCovered() != 2 {
 		t.Fatalf("d0 detail: %+v", d0)
 	}
 	d1 := s.Decisions[1]
-	if d1.Strategy[StratCyclic] != 1 || d1.Resyncs != 1 || d1.ResyncTokens != 3 {
+	if d1.Strategy[runtime.StratCyclic] != 1 || d1.Resyncs != 1 || d1.ResyncTokens != 3 {
 		t.Fatalf("d1: %+v", d1)
 	}
 	d2 := s.Decisions[2]
-	if d2.Strategy[StratBacktrack] != 2 || d2.Errors != 1 {
+	if d2.Strategy[runtime.StratBacktrack] != 2 || d2.Errors != 1 {
 		t.Fatalf("d2 strategies: %+v", d2)
 	}
 	if d2.SpecEvents != 2 || d2.SpecTokens != 14 || d2.WastedSpecEvents != 1 || d2.WastedSpecTokens != 10 || d2.MaxSpecDepth != 2 {
@@ -85,20 +116,22 @@ func TestRecorderFlushSnapshot(t *testing.T) {
 		t.Fatalf("rules: %+v", s.Rules)
 	}
 
-	// Flush cleared the recorder: a second flush adds nothing.
-	r.Flush()
+	// The next parse starts the block over: an empty fragment reparse
+	// adds nothing.
+	r.BeginParse(true)
+	r.flush()
 	if s2 := p.Snapshot(); !reflect.DeepEqual(s, s2) {
-		t.Fatalf("double flush changed profile:\n%+v\n%+v", s, s2)
+		t.Fatalf("an empty parse changed the profile:\n%+v\n%+v", s, s2)
 	}
 }
 
 func TestStrategyCountsSumToPredictions(t *testing.T) {
 	p := NewProfile(testMeta())
-	r := p.NewRecorder()
+	r := newRecorder(p)
 	for i := 0; i < 100; i++ {
 		r.Prediction(i%3, 1+i%2, 1+i%4, i%5 == 0, i%7 == 0)
 	}
-	r.Flush()
+	r.flush()
 	s := p.Snapshot()
 	for i, d := range s.Decisions {
 		var sum int64
@@ -112,8 +145,8 @@ func TestStrategyCountsSumToPredictions(t *testing.T) {
 }
 
 // TestMergeEqualsSum verifies the acceptance property driving the
-// design: flushing many recorders concurrently into one profile yields
-// exactly the element-wise sum of the individual contributions.
+// design: merging many parsers' blocks concurrently into one profile
+// yields exactly the element-wise sum of the individual contributions.
 func TestMergeEqualsSum(t *testing.T) {
 	merged := NewProfile(testMeta())
 	var parts []*Snapshot
@@ -125,7 +158,7 @@ func TestMergeEqualsSum(t *testing.T) {
 			defer wg.Done()
 			solo := NewProfile(testMeta())
 			for _, p := range []*Profile{merged, solo} {
-				r := p.NewRecorder()
+				r := newRecorder(p)
 				for i := 0; i < 50+w; i++ {
 					dec := (i + w) % 3
 					r.Prediction(dec, 1+i%2, 1+(i+w)%5, dec == 2, false)
@@ -138,7 +171,6 @@ func TestMergeEqualsSum(t *testing.T) {
 					r.Memo(dec, "", 0, 1, i%3 == 0, false)
 				}
 				r.EndParse(runtime.ParseEnd{Tokens: 100 + w, Err: failedIf(w%2 == 0)})
-				r.Flush()
 			}
 			mu.Lock()
 			parts = append(parts, solo.Snapshot())
@@ -159,11 +191,10 @@ func TestMergeEqualsSum(t *testing.T) {
 
 func TestResetClearsCountersKeepsShape(t *testing.T) {
 	p := NewProfile(testMeta())
-	r := p.NewRecorder()
+	r := newRecorder(p)
 	r.Prediction(0, 1, 1, false, false)
 	r.DFAState(1, 2, false)
 	r.EndParse(runtime.ParseEnd{Tokens: 5, Err: failedIf(true)})
-	r.Flush()
 	p.Reset()
 	s := p.Snapshot()
 	if s.Parses != 0 || s.ParseErrors != 0 || s.Tokens != 0 {
@@ -181,7 +212,7 @@ func TestResetClearsCountersKeepsShape(t *testing.T) {
 
 func TestOutOfRangeEventsIgnored(t *testing.T) {
 	p := NewProfile(testMeta())
-	r := p.NewRecorder()
+	r := newRecorder(p)
 	r.Prediction(-1, 1, 1, false, false)
 	r.Prediction(99, 1, 1, false, false)
 	r.Prediction(0, 99, 1, false, false) // alt out of range: counted, alt dropped
@@ -192,7 +223,7 @@ func TestOutOfRangeEventsIgnored(t *testing.T) {
 	r.Resync(-1, "", 2, true)
 	r.EnterRule(99, "", 0)
 	r.Memo(-1, "", 0, 1, true, false)
-	r.Flush()
+	r.flush()
 	s := p.Snapshot()
 	if s.Decisions[0].Predictions != 1 || s.Decisions[0].AltsCovered() != 0 {
 		t.Fatalf("out-of-range alt handling: %+v", s.Decisions[0])
@@ -204,7 +235,7 @@ func TestOutOfRangeEventsIgnored(t *testing.T) {
 
 func TestReportAndHotspots(t *testing.T) {
 	p := NewProfile(testMeta())
-	r := p.NewRecorder()
+	r := newRecorder(p)
 	r.Prediction(0, 1, 1, false, false)
 	r.DFAState(0, 0, false)
 	r.Prediction(2, 1, 3, true, false)
@@ -213,7 +244,6 @@ func TestReportAndHotspots(t *testing.T) {
 	r.EnterRule(0, "", 0)
 	r.EnterRule(2, "", 0)
 	r.EndParse(runtime.ParseEnd{Tokens: 100})
-	r.Flush()
 	s := p.Snapshot()
 
 	var rep bytes.Buffer
@@ -269,10 +299,9 @@ func TestReportAndHotspots(t *testing.T) {
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	p := NewProfile(testMeta())
-	r := p.NewRecorder()
+	r := newRecorder(p)
 	r.Prediction(0, 1, 2, false, false)
 	r.EndParse(runtime.ParseEnd{Tokens: 7})
-	r.Flush()
 	s := p.Snapshot()
 	b, err := json.Marshal(s)
 	if err != nil {

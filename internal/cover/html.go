@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"html/template"
 	"io"
+
+	"llstar/internal/runtime"
 )
 
 // WriteHTML renders the snapshot as a single self-contained HTML page:
@@ -15,7 +17,7 @@ func (s *Snapshot) WriteHTML(w io.Writer) error {
 	st := s.StrategyTotals()
 	total := s.TotalPredictions()
 	var strategies []map[string]any
-	for i := Strategy(0); i < NumStrategies; i++ {
+	for i := runtime.Strategy(0); i < runtime.NumStrategies; i++ {
 		strategies = append(strategies, map[string]any{
 			"Name":  i.String(),
 			"Count": st[i],

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"text/tabwriter"
+
+	"llstar/internal/runtime"
 )
 
 // This file renders snapshots into the two human-facing artifacts: the
@@ -15,8 +17,8 @@ import (
 // self-contained HTML page.
 
 // StrategyTotals sums prediction events by strategy across decisions.
-func (s *Snapshot) StrategyTotals() [NumStrategies]int64 {
-	var out [NumStrategies]int64
+func (s *Snapshot) StrategyTotals() [runtime.NumStrategies]int64 {
+	var out [runtime.NumStrategies]int64
 	for i := range s.Decisions {
 		for j, n := range s.Decisions[i].Strategy {
 			out[j] += n
@@ -88,7 +90,7 @@ func (s *Snapshot) Summarize() Summary {
 		sum.DFAStatesHit += d.StatesCovered()
 		sum.DFAStatesTotal += len(d.StatesVisited)
 		sum.Predictions += d.Predictions
-		sum.BacktrackEvents += d.Strategy[StratBacktrack]
+		sum.BacktrackEvents += d.Strategy[runtime.StratBacktrack]
 		sum.WastedTokens += d.WastedSpecTokens
 	}
 	return sum
@@ -122,7 +124,7 @@ func (s *Snapshot) WriteReport(w io.Writer) error {
 	st := s.StrategyTotals()
 	total := s.TotalPredictions()
 	fmt.Fprintf(w, "prediction strategies (%d events):\n", total)
-	for i := Strategy(0); i < NumStrategies; i++ {
+	for i := runtime.Strategy(0); i < runtime.NumStrategies; i++ {
 		fmt.Fprintf(w, "  %-9s %12d (%.2f%%)\n", i.String(), st[i], pct(st[i], total))
 	}
 
@@ -217,7 +219,7 @@ func (s *Snapshot) Hotspots() []Hotspot {
 	totalWasted := s.TotalWastedSpecTokens()
 	var totalBack int64
 	for i := range s.Decisions {
-		totalBack += s.Decisions[i].Strategy[StratBacktrack]
+		totalBack += s.Decisions[i].Strategy[runtime.StratBacktrack]
 	}
 	var out []Hotspot
 	for i := range s.Decisions {
@@ -230,7 +232,7 @@ func (s *Snapshot) Hotspots() []Hotspot {
 			h.WastedShare = float64(d.WastedSpecTokens) / float64(totalWasted)
 		}
 		if totalBack > 0 {
-			h.BacktrackShare = float64(d.Strategy[StratBacktrack]) / float64(totalBack)
+			h.BacktrackShare = float64(d.Strategy[runtime.StratBacktrack]) / float64(totalBack)
 		}
 		out = append(out, h)
 	}
@@ -263,7 +265,7 @@ func (s *Snapshot) WriteHotspots(w io.Writer, top int) error {
 		c := &h.Cov
 		fmt.Fprintf(tw, "d%d\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.1f%%\t%d\n",
 			h.Meta.ID, h.Meta.Rule, h.Meta.Class, c.Predictions,
-			c.Strategy[StratLL1], c.Strategy[StratLLk], c.Strategy[StratCyclic], c.Strategy[StratBacktrack],
+			c.Strategy[runtime.StratLL1], c.Strategy[runtime.StratLLk], c.Strategy[runtime.StratCyclic], c.Strategy[runtime.StratBacktrack],
 			c.SpecTokens, c.WastedSpecTokens, 100*h.WastedShare, c.MaxK)
 	}
 	if err := tw.Flush(); err != nil {

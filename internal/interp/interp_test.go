@@ -13,8 +13,8 @@ import (
 // newProfiled returns a parser whose probe profiles into the returned
 // stats.
 func newProfiled(res *core.Result, opts Options) (*Parser, *runtime.ParseStats) {
-	st := NewStats(res)
-	opts.Probe = st.Probe()
+	st := runtime.NewParseStats(res.Shape())
+	opts.Probe = st
 	return New(res, opts), st
 }
 

@@ -126,29 +126,6 @@ func New(res *core.Result, opts Options) *Parser {
 // way. Call only between parses.
 func (p *Parser) SetProbe(probe runtime.Probe) { p.probe = probe }
 
-// NewStats returns an empty profile for res's decisions, with the ones
-// that can backtrack marked; install its Probe to fill it.
-func NewStats(res *core.Result) *runtime.ParseStats {
-	ps := runtime.NewParseStats(len(res.DFAs))
-	for _, di := range res.Decisions {
-		if di.Class == core.ClassBacktrack {
-			ps.Decisions[di.Decision.ID].CanBacktrack = true
-		}
-	}
-	return ps
-}
-
-// Throttles names each decision's static class ("fixed", "cyclic",
-// "backtrack"), by decision ID: the throttle label of runtime trace
-// events and metrics.
-func Throttles(res *core.Result) []string {
-	names := make([]string, len(res.DFAs))
-	for _, di := range res.Decisions {
-		names[di.Decision.ID] = di.Class.String()
-	}
-	return names
-}
-
 // Errors returns the syntax errors recovered during the last parse
 // (Recover mode; empty otherwise).
 func (p *Parser) Errors() []*runtime.SyntaxError { return p.errors }

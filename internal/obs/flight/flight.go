@@ -66,7 +66,7 @@ type record struct {
 	other                   *kindInfo // names a kindOther event
 	decision, alt, k, depth int32
 	kind                    kind
-	throttle                uint8 // the decision's class, indexing throttles
+	throttle                runtime.Throttle
 	ok, backtracked         bool
 }
 
@@ -110,10 +110,6 @@ var kinds = [...]kindInfo{
 	kindStreamParse: {"stream.parse", obs.PhaseStream, obs.PhSpan},
 	kindEdit:        {"stream.edit", obs.PhaseStream, obs.PhSpan},
 }
-
-// throttles are the decision classes a record's throttle code names; 0
-// is none.
-var throttles = [...]string{"", "fixed", "cyclic", "backtrack"}
 
 // NewRecorder returns a recorder holding the last capacity events
 // (DefaultEvents if capacity <= 0).
@@ -173,13 +169,13 @@ func (r *Recorder) Emit(e obs.Event) {
 	rec.other = &kindInfo{e.Name, e.Cat, e.Ph}
 }
 
-func throttleCode(class string) uint8 {
-	for c, name := range throttles {
-		if name == class {
-			return uint8(c)
+func throttleCode(class string) runtime.Throttle {
+	for c := runtime.ThrottleFixed; c <= runtime.ThrottleBacktrack; c++ {
+		if c.String() == class {
+			return c
 		}
 	}
-	return 0
+	return runtime.ThrottleNone
 }
 
 // Now implements obs.Tracer: time since the recorder's epoch (the last
@@ -223,7 +219,7 @@ func (rec *record) event() obs.Event {
 	return obs.Event{
 		Name: info.name, Cat: info.cat, Ph: info.ph, TS: rec.ts, Dur: rec.dur,
 		Decision: int(rec.decision), Rule: rec.rule, Alt: int(rec.alt), K: int(rec.k), Depth: int(rec.depth),
-		Throttle: throttles[rec.throttle], Backtracked: rec.backtracked, OK: rec.ok,
+		Throttle: rec.throttle.String(), Backtracked: rec.backtracked, OK: rec.ok,
 		N: rec.n, Detail: rec.detail,
 	}
 }
@@ -237,20 +233,13 @@ func (rec *record) event() obs.Event {
 // and attaching or detaching one allocates nothing.
 type Probe struct {
 	runtime.NopProbe
-	r        *Recorder
-	throttle []uint8 // each decision's class, indexing throttles
+	r     *Recorder
+	shape *runtime.Shape // names each decision's throttle
 }
 
-// NewProbe returns a probe for a parser whose decisions have the given
-// throttle classes ("fixed", "cyclic" or "backtrack", by decision ID).
-// Attach a recorder before the probe sees a parse.
-func NewProbe(throttle []string) *Probe {
-	codes := make([]uint8, len(throttle))
-	for d, class := range throttle {
-		codes[d] = throttleCode(class)
-	}
-	return &Probe{throttle: codes}
-}
+// NewProbe returns a probe for a parser of a grammar with the given
+// shape. Attach a recorder before the probe sees a parse.
+func NewProbe(shape *runtime.Shape) *Probe { return &Probe{shape: shape} }
 
 // Attach directs the probe into r (nil detaches it). Call it only
 // between parses.
@@ -270,7 +259,7 @@ func (p *Probe) Memo(_ int, rule string, start, depth int, hit, ok bool) {
 func (p *Probe) Predict(e runtime.Prediction) {
 	rec := p.r.add(kindPredict, e.Decision, e.Rule, !e.Failed)
 	rec.alt, rec.k, rec.depth = int32(e.Alt), int32(e.K), int32(e.Depth)
-	rec.throttle, rec.backtracked = p.throttle[e.Decision], e.Backtracked
+	rec.throttle, rec.backtracked = p.shape.Decisions[e.Decision].Class, e.Backtracked
 }
 
 func (p *Probe) Speculate(e runtime.Speculation) {

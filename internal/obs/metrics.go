@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"llstar/internal/runtime"
 )
 
 // Metrics is a registry of named counters, gauges, and bounded
@@ -89,37 +91,9 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // DefaultBuckets are the histogram upper bounds used when none are
-// given: powers of two covering lookahead and speculation depths.
-var DefaultBuckets = defaultBounds[:]
-
-var defaultBounds = [...]int64{1, 2, 4, 8, 16, 32, 64, 128}
-
-// histAcc accumulates observations for one default-bucket Histogram
-// without atomics; merge publishes them.
-type histAcc struct {
-	counts      [len(defaultBounds) + 1]int64
-	sum, n, max int64
-}
-
-func (a *histAcc) observe(v int64) {
-	i := 0
-	for i < len(defaultBounds) && v > defaultBounds[i] {
-		i++
-	}
-	a.counts[i]++
-	a.sum += v
-	a.n++
-	a.max = max(a.max, v)
-}
-
-func (a *histAcc) add(o *histAcc) {
-	for i, c := range o.counts {
-		a.counts[i] += c
-	}
-	a.sum += o.sum
-	a.n += o.n
-	a.max = max(a.max, o.max)
-}
+// given: runtime.DepthBounds, powers of two covering lookahead and
+// speculation depths.
+var DefaultBuckets = runtime.DepthBounds[:]
 
 // Histogram is a bounded histogram over int64 observations: a fixed
 // set of cumulative-style buckets plus sum, count, and max.
@@ -147,16 +121,17 @@ func (h *Histogram) Observe(v int64) {
 	h.raiseMax(v)
 }
 
-// merge adds accumulated observations; h must use the default buckets.
-func (h *Histogram) merge(a *histAcc) {
-	for i, c := range a.counts {
+// merge adds observations counted elsewhere; h must use the default
+// buckets.
+func (h *Histogram) merge(a *runtime.Hist) {
+	for i, c := range a.Buckets {
 		if c != 0 {
 			h.counts[i].Add(c)
 		}
 	}
-	h.sum.Add(a.sum)
-	h.n.Add(a.n)
-	h.raiseMax(a.max)
+	h.sum.Add(a.Sum)
+	h.n.Add(a.N)
+	h.raiseMax(a.Max)
 }
 
 func (h *Histogram) raiseMax(v int64) {

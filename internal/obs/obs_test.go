@@ -165,7 +165,7 @@ func (c *collector) Now() time.Duration { return c.now }
 // for its tracer and stamps them with the tracer's clock.
 func TestTraceProbeTracer(t *testing.T) {
 	a := &collector{now: 100}
-	tp := NewTraceProbe(a, []string{"fixed"})
+	tp := NewTraceProbe(a, &runtime.Shape{Decisions: []runtime.DecisionShape{{Class: runtime.ThrottleFixed}}})
 	tp.BeginParse(false)
 	tp.BeginPredict()
 	a.now = 150

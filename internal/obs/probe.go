@@ -13,16 +13,15 @@ import (
 // tracer, stamped with the tracer's clock.
 type TraceProbe struct {
 	runtime.NopProbe
-	tracer   Tracer
-	throttle []string        // static decision class, by decision ID
-	open     []time.Duration // start times of the open spans
+	tracer Tracer
+	shape  *runtime.Shape  // names each decision's throttle
+	open   []time.Duration // start times of the open spans
 }
 
 // NewTraceProbe returns a trace consumer writing to tracer, which must
-// be Active. throttle names each decision's static class: "fixed",
-// "cyclic" or "backtrack".
-func NewTraceProbe(tracer Tracer, throttle []string) *TraceProbe {
-	return &TraceProbe{tracer: tracer, throttle: throttle}
+// be Active, for a parser of a grammar with the given shape.
+func NewTraceProbe(tracer Tracer, shape *runtime.Shape) *TraceProbe {
+	return &TraceProbe{tracer: tracer, shape: shape}
 }
 
 func (t *TraceProbe) instant(e Event) {
@@ -56,7 +55,7 @@ func (t *TraceProbe) Memo(_ int, rule string, start, depth int, hit, ok bool) {
 func (t *TraceProbe) Predict(e runtime.Prediction) {
 	t.span(Event{
 		Name: "predict", Decision: e.Decision, Rule: e.Rule, Alt: e.Alt, K: e.K, Depth: e.Depth,
-		Throttle: t.throttle[e.Decision], Backtracked: e.Backtracked, OK: !e.Failed,
+		Throttle: t.shape.Decisions[e.Decision].Class.String(), Backtracked: e.Backtracked, OK: !e.Failed,
 	})
 }
 
@@ -91,7 +90,7 @@ func (t *TraceProbe) EndParse(e runtime.ParseEnd) {
 	}
 }
 
-// Event counters of the metrics consumer, by index into countSeries.
+// Counters of the metrics flush, by index into countSeries.
 const (
 	cBacktrack = iota
 	cSpecFail
@@ -103,6 +102,12 @@ const (
 	cSemPredError
 	cSyntaxErrors
 	cResyncs
+	cParses
+	cParseErrors
+	cTokens
+	cMemoHits
+	cMemoMisses
+	cMemoStores
 	numCounts
 )
 
@@ -117,146 +122,106 @@ var countSeries = [numCounts]string{
 	Label("llstar_sempred_evals_total", "result", "error"),
 	"llstar_syntax_errors_total",
 	"llstar_error_resyncs_total",
+	"llstar_parses_total",
+	"llstar_parse_errors_total",
+	"llstar_tokens_total",
+	"llstar_memo_hits_total",
+	"llstar_memo_misses_total",
+	"llstar_memo_stores_total",
 }
 
-// MetricsProbe is the metrics consumer of the parser's runtime.Probe.
-// It counts one parse's events in plain fields and flushes them into
-// the registry once, at the parse's end — as the coverage recorder
-// does — resolving each instrument on first use and keeping the handle
-// for the parser's lifetime, so an event costs no locking, string
-// building or allocation.
-type MetricsProbe struct {
-	runtime.NopProbe
-	m        *Metrics
-	throttle []string
+// ParseMetrics publishes a parser's counter block into a metrics
+// registry once per parse: register its Flush with the block's OnEnd.
+// It resolves each instrument the first time it has something to count
+// and keeps the handle for the parser's lifetime, so a warm flush takes
+// no registry lock and builds no string.
+type ParseMetrics struct {
+	m     *Metrics
+	shape *runtime.Shape
 
-	// This parse's counts, cleared by the flush.
-	counts    [numCounts]int64
-	depth     []histAcc // lookahead depth, by decision
-	touched   []int     // decisions with depth[d].n > 0
-	specDepth histAcc
-
-	// Instruments resolved so far.
-	depthH   []*Histogram // by decision
-	predictC []*Counter   // by decision: its throttle's event counter
-	counters map[string]*Counter
-	hists    map[string]*Histogram
-	memoSize *Gauge
+	counts              [numCounts]*Counter
+	depthH              []*Histogram // lookahead depth, by decision
+	predictC            []*Counter   // by decision: its throttle's event counter
+	allDepth, specDepth *Histogram
+	memoSize            *Gauge
 }
 
-// NewMetricsProbe returns a metrics consumer for one parser, flushing
-// into m. throttle names each decision's static class, as for
-// NewTraceProbe.
-func NewMetricsProbe(m *Metrics, throttle []string) *MetricsProbe {
-	n := len(throttle)
-	return &MetricsProbe{
-		m: m, throttle: throttle,
-		depth: make([]histAcc, n), depthH: make([]*Histogram, n), predictC: make([]*Counter, n),
-		counters: map[string]*Counter{}, hists: map[string]*Histogram{},
-	}
+// NewParseMetrics returns the metrics flush for one parser of a grammar
+// with the given shape, publishing into m.
+func NewParseMetrics(m *Metrics, shape *runtime.Shape) *ParseMetrics {
+	n := len(shape.Decisions)
+	return &ParseMetrics{m: m, shape: shape, depthH: make([]*Histogram, n), predictC: make([]*Counter, n)}
 }
 
-func (mp *MetricsProbe) Predict(e runtime.Prediction) {
-	a := &mp.depth[e.Decision]
-	if a.n == 0 {
-		mp.touched = append(mp.touched, e.Decision)
-	}
-	a.observe(int64(e.K))
-	if e.Backtracked {
-		mp.counts[cBacktrack]++
-	}
-}
-
-func (mp *MetricsProbe) Speculate(e runtime.Speculation) {
-	match := 0
-	if e.OK {
-		match = 1
-	}
-	if e.SynPred >= 0 {
-		mp.counts[cSynPredFail+match]++
-	}
-	mp.counts[cSpecFail+match]++
-	mp.specDepth.observe(int64(e.Tokens))
-}
-
-func (mp *MetricsProbe) SemPred(_, _ string, _ int, ok bool, err error) {
-	switch {
-	case err != nil:
-		mp.counts[cSemPredError]++
-	case !ok:
-		mp.counts[cSemPredFalse]++
-	default:
-		mp.counts[cSemPredTrue]++
-	}
-}
-
-func (mp *MetricsProbe) SyntaxError(*runtime.SyntaxError) { mp.counts[cSyntaxErrors]++ }
-
-func (mp *MetricsProbe) Resync(int, string, int, bool) { mp.counts[cResyncs]++ }
-
-// EndParse flushes the parse's counts; a full parse also counts itself,
-// its tokens and its memo table. Event series are created only once
-// they count something.
-func (mp *MetricsProbe) EndParse(e runtime.ParseEnd) {
-	if len(mp.touched) > 0 {
-		var all histAcc
-		for _, d := range mp.touched {
-			a := &mp.depth[d]
-			if mp.depthH[d] == nil {
-				mp.depthH[d] = mp.m.Histogram(Label("llstar_lookahead_depth", "decision", strconv.Itoa(d)))
-				mp.predictC[d] = mp.counter(Label("llstar_predict_events_total", "throttle", mp.throttle[d]))
-			}
-			mp.predictC[d].Add(a.n)
-			mp.depthH[d].merge(a)
-			all.add(a)
-			*a = histAcc{}
+// Flush adds a finished parse's counts to the registry; a full parse
+// also counts itself, its tokens and its memo table. Event series are
+// created only once they count something.
+func (pm *ParseMetrics) Flush(ps *runtime.ParseStats, e runtime.ParseEnd) {
+	var all runtime.Hist
+	var backtracks int64
+	for d := range ps.Decisions {
+		ds := &ps.Decisions[d]
+		if ds.Events == 0 {
+			continue
 		}
-		mp.touched = mp.touched[:0]
-		mp.hist("llstar_lookahead_depth").merge(&all)
+		if pm.depthH[d] == nil {
+			pm.depthH[d] = pm.m.Histogram(Label("llstar_lookahead_depth", "decision", strconv.Itoa(d)))
+			pm.predictC[d] = pm.m.Counter(Label("llstar_predict_events_total", "throttle", pm.shape.Decisions[d].Class.String()))
+		}
+		h := runtime.Hist{Buckets: ds.Depth, Sum: ds.SumK, N: int64(ds.Events), Max: int64(ds.MaxK)}
+		pm.predictC[d].Add(h.N)
+		pm.depthH[d].merge(&h)
+		for i, c := range h.Buckets {
+			all.Buckets[i] += c
+		}
+		all.Sum, all.N, all.Max = all.Sum+h.Sum, all.N+h.N, max(all.Max, h.Max)
+		backtracks += int64(ds.BacktrackEvents)
 	}
-	if mp.specDepth.n > 0 {
-		mp.hist("llstar_speculation_depth").merge(&mp.specDepth)
-		mp.specDepth = histAcc{}
+	if all.N > 0 {
+		pm.hist(&pm.allDepth, "llstar_lookahead_depth").merge(&all)
 	}
-	for i, n := range mp.counts {
+	if ps.SpecDepth.N > 0 {
+		pm.hist(&pm.specDepth, "llstar_speculation_depth").merge(&ps.SpecDepth)
+	}
+	for i, n := range [...]int64{
+		cBacktrack: backtracks, cSpecFail: ps.SpecFailures, cSpecMatch: ps.SpecMatches,
+		cSynPredFail: ps.SynPredFailures, cSynPredMatch: ps.SynPredMatches,
+		cSemPredTrue: ps.SemPredTrue, cSemPredFalse: ps.SemPredFalse, cSemPredError: ps.SemPredErrors,
+		cSyntaxErrors: ps.SyntaxErrors, cResyncs: ps.Resyncs,
+	} {
 		if n != 0 {
-			mp.counter(countSeries[i]).Add(n)
-			mp.counts[i] = 0
+			pm.add(i, n)
 		}
 	}
 	if e.Fragment {
 		return
 	}
-	mp.counter("llstar_parses_total").Inc()
+	pm.add(cParses, 1)
 	if e.Err != nil {
-		mp.counter("llstar_parse_errors_total").Inc()
+		pm.add(cParseErrors, 1)
 	}
-	mp.counter("llstar_tokens_total").Add(int64(e.Tokens))
-	if memo := e.Memo; memo != nil {
-		mp.counter("llstar_memo_hits_total").Add(int64(memo.Hits()))
-		mp.counter("llstar_memo_misses_total").Add(int64(memo.Misses()))
-		mp.counter("llstar_memo_stores_total").Add(int64(memo.Stores()))
-		if mp.memoSize == nil {
-			mp.memoSize = mp.m.Gauge("llstar_memo_entries")
+	pm.add(cTokens, int64(e.Tokens))
+	if e.Memo != nil {
+		pm.add(cMemoHits, int64(ps.MemoHits))
+		pm.add(cMemoMisses, int64(ps.MemoMisses))
+		pm.add(cMemoStores, int64(ps.MemoStores))
+		if pm.memoSize == nil {
+			pm.memoSize = pm.m.Gauge("llstar_memo_entries")
 		}
-		mp.memoSize.Set(int64(memo.Entries()))
+		pm.memoSize.Set(int64(ps.MemoEntries))
 	}
 }
 
-func (mp *MetricsProbe) counter(name string) *Counter {
-	c := mp.counters[name]
-	if c == nil {
-		c = mp.m.Counter(name)
-		mp.counters[name] = c
+func (pm *ParseMetrics) add(i int, n int64) {
+	if pm.counts[i] == nil {
+		pm.counts[i] = pm.m.Counter(countSeries[i])
 	}
-	return c
+	pm.counts[i].Add(n)
 }
 
-func (mp *MetricsProbe) hist(name string) *Histogram {
-	h := mp.hists[name]
-	if h == nil {
-		h = mp.m.Histogram(name)
-		mp.hists[name] = h
+func (pm *ParseMetrics) hist(h **Histogram, name string) *Histogram {
+	if *h == nil {
+		*h = pm.m.Histogram(name)
 	}
-	return h
+	return *h
 }

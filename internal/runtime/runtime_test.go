@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -145,7 +146,7 @@ func TestMemoTable(t *testing.T) {
 }
 
 func TestParseStatsStringMemo(t *testing.T) {
-	ps := NewParseStats(1)
+	ps := NewParseStats(&Shape{Decisions: make([]DecisionShape, 1)})
 	ps.Record(0, 1, false, 0)
 	ps.MemoEntries = 4
 	ps.MemoHits = 3
@@ -161,7 +162,7 @@ func TestParseStatsStringMemo(t *testing.T) {
 		t.Errorf("MemoHitRatio = %v", got)
 	}
 	// No lookups at all: the ratio is 0, not NaN, and String stays terse.
-	empty := NewParseStats(1)
+	empty := NewParseStats(&Shape{Decisions: make([]DecisionShape, 1)})
 	if got := empty.MemoHitRatio(); got != 0 {
 		t.Errorf("empty ratio = %v", got)
 	}
@@ -171,8 +172,7 @@ func TestParseStatsStringMemo(t *testing.T) {
 }
 
 func TestParseStatsAggregation(t *testing.T) {
-	ps := NewParseStats(3)
-	ps.Decisions[1].CanBacktrack = true
+	ps := NewParseStats(&Shape{Decisions: []DecisionShape{{}, {Class: ThrottleBacktrack}, {}}})
 	ps.Record(0, 1, false, 0)
 	ps.Record(0, 3, false, 0)
 	ps.Record(1, 5, true, 5)
@@ -209,6 +209,101 @@ func TestParseStatsAggregation(t *testing.T) {
 	}
 	if ps.String() == "" {
 		t.Error("empty String")
+	}
+}
+
+// TestParseStatsBlock drives the counter block through the probe: what
+// each event counts for its decision, its rule and the whole parse,
+// that a full parse copies its memo totals and a fragment does not,
+// that every OnEnd function reads the block, and that the next parse
+// starts it over with its shape and backtrack marks intact.
+func TestParseStatsBlock(t *testing.T) {
+	ps := NewParseStats(&Shape{Decisions: []DecisionShape{
+		{Class: ThrottleFixed, NAlts: 2, DFAStates: 3},
+		{Class: ThrottleCyclic, NAlts: 2, DFAStates: 2},
+		{Class: ThrottleBacktrack, NAlts: 3},
+	}, Rules: 2})
+	var ends []ParseEnd
+	ps.OnEnd(func(got *ParseStats, e ParseEnd) {
+		if got != ps {
+			t.Error("OnEnd got another block")
+		}
+		ends = append(ends, e)
+	})
+	var p Probe = ps
+	p.BeginParse(false)
+	p.DFAState(0, 0, false)
+	p.DFAState(0, 2, true)
+	p.Predict(Prediction{Decision: 0, Alt: 2, K: 2})
+	p.Predict(Prediction{Decision: 1, Alt: 1, K: 1})
+	p.Predict(Prediction{Decision: 2, Alt: 3, K: 9, Backtracked: true})
+	p.Predict(Prediction{Decision: 2, K: 1, Failed: true})
+	p.Speculate(Speculation{Decision: 2, SynPred: -1, Alt: 3, Tokens: 9, Depth: 1, OK: true})
+	p.Speculate(Speculation{Decision: 2, SynPred: 0, Tokens: 3, Depth: 2})
+	p.SemPred("r", "p", 0, true, nil)
+	p.SemPred("r", "p", 0, false, nil)
+	p.SemPred("r", "p", 0, false, errors.New("unbound"))
+	p.EnterRule(1, "r", 0)
+	p.Memo(1, "r", 0, 1, true, true)
+	p.Memo(1, "r", 4, 1, false, false)
+	p.SyntaxError(&SyntaxError{})
+	p.Resync(0, "r", 2, true)
+	memo := NewMemoTable(1)
+	memo.Put(0, 0, 1)
+	memo.Get(0, 0)
+	p.EndParse(ParseEnd{Tokens: 5, Memo: memo})
+
+	d0, d1, d2 := ps.Decisions[0], ps.Decisions[1], ps.Decisions[2]
+	if d0.Strategy[StratLLk] != 1 || d0.Alts[1] != 1 || d0.Depth[1] != 1 || d0.EdgesTaken != 1 ||
+		!d0.StatesVisited[0] || d0.StatesVisited[1] || !d0.StatesVisited[2] || d0.Resyncs != 1 || d0.ResyncTokens != 2 {
+		t.Errorf("decision 0: %+v", d0)
+	}
+	if d1.Strategy[StratCyclic] != 1 || d1.Depth[0] != 1 {
+		t.Errorf("decision 1: %+v", d1)
+	}
+	if d2.Events != 2 || d2.Strategy[StratBacktrack] != 1 || d2.Strategy[StratLL1] != 1 || d2.Failed != 1 ||
+		d2.Alts[2] != 1 || d2.Depth[4] != 1 || d2.BacktrackEvents != 1 || d2.SumBacktrackK != 9 || !d2.CanBacktrack {
+		t.Errorf("decision 2 predictions: %+v", d2)
+	}
+	if d2.SpecEvents != 2 || d2.SpecTokens != 12 || d2.WastedSpecEvents != 1 || d2.WastedSpecTokens != 3 || d2.MaxSpecDepth != 2 {
+		t.Errorf("decision 2 speculations: %+v", d2)
+	}
+	if r := ps.Rules[1]; r.Invocations != 1 || r.MemoHits != 1 || r.MemoMisses != 1 {
+		t.Errorf("rule 1: %+v", r)
+	}
+	if ps.SpecMatches != 1 || ps.SpecFailures != 1 || ps.SynPredMatches != 0 || ps.SynPredFailures != 1 {
+		t.Errorf("speculations: %d/%d, synpreds %d/%d", ps.SpecMatches, ps.SpecFailures, ps.SynPredMatches, ps.SynPredFailures)
+	}
+	if ps.SemPredTrue != 1 || ps.SemPredFalse != 1 || ps.SemPredErrors != 1 || ps.SyntaxErrors != 1 || ps.Resyncs != 1 {
+		t.Errorf("predicates and errors: %+v", ps)
+	}
+	if h := ps.SpecDepth; h.N != 2 || h.Sum != 12 || h.Max != 9 || h.Buckets[2] != 1 || h.Buckets[4] != 1 {
+		t.Errorf("speculation depth: %+v", h)
+	}
+	if ps.MemoEntries != 1 || ps.MemoHits != 1 || ps.MemoStores != 1 || len(ends) != 1 || ends[0].Tokens != 5 {
+		t.Errorf("memo totals %d/%d/%d, ends %v", ps.MemoEntries, ps.MemoHits, ps.MemoStores, ends)
+	}
+
+	// Out-of-range events count for the parse and nowhere else.
+	p.BeginParse(true)
+	p.Predict(Prediction{Decision: 3, K: 1})
+	p.DFAState(-1, 0, true)
+	p.DFAState(0, 3, false)
+	p.Predict(Prediction{Decision: 0, Alt: 3, K: 1})
+	p.Speculate(Speculation{Decision: -1, SynPred: -1, Tokens: 1})
+	p.Resync(7, "r", 1, false)
+	p.EnterRule(2, "r", 0)
+	p.Memo(-1, "r", 0, 1, true, true)
+	p.EndParse(ParseEnd{Fragment: true, Memo: memo})
+	if ps.TotalEvents() != 1 || ps.Decisions[0].Alts[0]+ps.Decisions[0].Alts[1] != 0 || ps.Decisions[0].StatesVisited[0] ||
+		ps.SpecFailures != 1 || ps.Resyncs != 1 || ps.Rules[0] != (RuleStats{}) || ps.Rules[1] != (RuleStats{}) {
+		t.Errorf("out-of-range events: %+v", ps)
+	}
+	if ps.MemoEntries != 0 || ps.MemoHits != 0 || len(ends) != 2 {
+		t.Errorf("a fragment copied memo totals %d/%d", ps.MemoEntries, ps.MemoHits)
+	}
+	if !ps.Decisions[2].CanBacktrack || len(ps.Decisions[2].Alts) != 3 || len(ps.Decisions[0].StatesVisited) != 3 {
+		t.Error("Reset lost the block's shape")
 	}
 }
 

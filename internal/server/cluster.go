@@ -274,7 +274,10 @@ func (s *Server) proxyTo(w http.ResponseWriter, r *http.Request, c *cluster.Clus
 			if _, werr := w.Write(buf[:n]); werr != nil {
 				break
 			}
-			if flusher != nil {
+			// The read that ends the body is not flushed: it goes out
+			// when the handler returns, after finishProxy, so a client
+			// holding a whole fixed-length response finds the hop logged.
+			if rerr == nil && flusher != nil {
 				flusher.Flush()
 			}
 		}

@@ -444,8 +444,7 @@ func (s *Server) doParse(e *Entry, req parseRequest, fr *flightRun) parseRespons
 	resp := parseResponse{Grammar: e.Name, Rule: rule}
 	start := time.Now()
 
-	var tree *llstar.Tree
-	var perr error
+	var p *llstar.Parser
 	if req.Recover {
 		// Recovery changes parser behavior, so it bypasses the pool —
 		// but still feeds the shared coverage profile (resyncs are some
@@ -457,29 +456,30 @@ func (s *Server) doParse(e *Entry, req parseRequest, fr *flightRun) parseRespons
 		if fr != nil {
 			popts = append(popts, llstar.WithFlightRecorder(fr.rec))
 		}
-		p := e.G.NewParser(popts...)
-		tree, perr = p.Parse(req.Rule, req.Input)
-		if fr != nil {
-			fr.stats = toFlightStats(p.Stats())
-		}
-		if req.Stats {
-			resp.Stats = toStatsJSON(p.Stats())
-		}
-		for _, se := range p.Errors() {
-			resp.Recovered = append(resp.Recovered, syntaxErrorJSON(e.G, se))
-		}
+		p = e.G.NewParser(popts...)
 	} else {
-		p := e.Pool.Get()
+		p = e.Pool.Get()
 		if fr != nil {
 			p.SetFlightRecorder(fr.rec)
 		}
-		tree, perr = p.Parse(req.Rule, req.Input)
+	}
+	tree, perr := p.Parse(req.Rule, req.Input)
+	if fr != nil || req.Stats {
+		st := p.Stats()
+		sum := summarize(st)
 		if fr != nil {
-			fr.stats = toFlightStats(p.Stats())
-			p.SetFlightRecorder(nil) // detach before Put
+			fr.stats = sum
 		}
 		if req.Stats {
-			resp.Stats = toStatsJSON(p.Stats()) // summarize before Put
+			resp.Stats = toStatsJSON(sum, st.MemoEntries)
+		}
+	}
+	for _, se := range p.Errors() {
+		resp.Recovered = append(resp.Recovered, syntaxErrorJSON(e.G, se))
+	}
+	if !req.Recover {
+		if fr != nil {
+			p.SetFlightRecorder(nil) // detach before Put
 		}
 		e.Pool.Put(p)
 	}

@@ -146,47 +146,33 @@ func syntaxErrorJSON(g *llstar.Grammar, se *llstar.SyntaxError) errorJSON {
 	}
 }
 
-// toStatsJSON summarizes a runtime profile; call it before the parser
-// returns to its pool (Stats are reset by the next checkout's parse).
-func toStatsJSON(st *llstar.Stats) *statsJSON {
-	if st == nil {
-		return nil
-	}
-	out := &statsJSON{
-		MemoHits:    st.MemoHits,
-		MemoMisses:  st.MemoMisses,
-		MemoEntries: st.MemoEntries,
-	}
+// summarize totals a parse's runtime profile in one pass over its
+// decisions: the flight capture's trigger inputs, which toStatsJSON also
+// renders. Call it before the parser returns to its pool (the next
+// checkout's parse starts the profile over).
+func summarize(st *llstar.Stats) flight.Stats {
+	out := flight.Stats{MemoHits: st.MemoHits, MemoMisses: st.MemoMisses}
 	for i := range st.Decisions {
 		d := &st.Decisions[i]
 		out.PredictEvents += d.Events
-		if d.MaxK > out.MaxLookahead {
-			out.MaxLookahead = d.MaxK
-		}
+		out.MaxLookahead = max(out.MaxLookahead, d.MaxK)
 		out.BacktrackEvents += d.BacktrackEvents
 		out.BacktrackTokens += d.SumBacktrackK
 	}
 	return out
 }
 
-// toFlightStats summarizes a runtime profile into the flight capture's
-// trigger inputs. Like toStatsJSON it must run before the parser
-// returns to its pool.
-func toFlightStats(st *llstar.Stats) flight.Stats {
-	if st == nil {
-		return flight.Stats{}
+// toStatsJSON renders a parse's summary and its memo-table size.
+func toStatsJSON(sum flight.Stats, memoEntries int) *statsJSON {
+	return &statsJSON{
+		PredictEvents:   sum.PredictEvents,
+		MaxLookahead:    sum.MaxLookahead,
+		BacktrackEvents: sum.BacktrackEvents,
+		BacktrackTokens: sum.BacktrackTokens,
+		MemoHits:        sum.MemoHits,
+		MemoMisses:      sum.MemoMisses,
+		MemoEntries:     memoEntries,
 	}
-	out := flight.Stats{MemoHits: st.MemoHits, MemoMisses: st.MemoMisses}
-	for i := range st.Decisions {
-		d := &st.Decisions[i]
-		out.PredictEvents += d.Events
-		if d.MaxK > out.MaxLookahead {
-			out.MaxLookahead = d.MaxK
-		}
-		out.BacktrackEvents += d.BacktrackEvents
-		out.BacktrackTokens += d.SumBacktrackK
-	}
-	return out
 }
 
 // errorResponse is the body of every non-2xx response.

@@ -232,6 +232,12 @@ func TestRegistryHotReloadThroughCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRegistry(dir, llstar.LoadOptions{CacheDir: cacheDir}, nil)
+	// Load v1 before the writer starts: a cold load that reads the file
+	// mid-write has no last good grammar to fall back on, and the reload
+	// path is what this test drives.
+	if _, err := r.Get("expr"); err != nil {
+		t.Fatal(err)
+	}
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup

@@ -147,19 +147,21 @@ func New(res *core.Result, opts Options) (*Session, error) {
 	}
 	s.sink = &sinkListener{s: s}
 	probes := []runtime.Probe{s.sink}
-	throttle := interp.Throttles(res)
+	shape := res.Shape()
 	if tr := obs.Active(opts.Tracer); tr != nil {
 		s.spanSinks[0] = tr
-		probes = append(probes, obs.NewTraceProbe(tr, throttle))
+		probes = append(probes, obs.NewTraceProbe(tr, shape))
 	}
 	if opts.Flight != nil {
 		s.spanSinks[1] = opts.Flight
-		fp := flight.NewProbe(throttle)
+		fp := flight.NewProbe(shape)
 		fp.Attach(opts.Flight)
 		probes = append(probes, fp)
 	}
 	if opts.Metrics != nil {
-		probes = append(probes, obs.NewMetricsProbe(opts.Metrics, throttle))
+		block := runtime.NewParseStats(shape)
+		block.OnEnd(obs.NewParseMetrics(opts.Metrics, shape).Flush)
+		probes = append(probes, block)
 	}
 	memoize := true
 	iopts := interp.Options{

@@ -84,7 +84,7 @@ type (
 // CoverageStrategy names the prediction-strategy index i of
 // CoverageSnapshot.StrategyTotals: "LL(1)", "LL(k)", "cyclic",
 // "backtrack".
-func CoverageStrategy(i int) string { return cover.Strategy(i).String() }
+func CoverageStrategy(i int) string { return runtime.Strategy(i).String() }
 
 // Re-exported flight-recorder types. A FlightRecorder is a bounded
 // ring of compact records holding the last N runtime events of one
@@ -499,8 +499,9 @@ type Parser struct {
 	g  *Grammar
 	ip *interp.Parser
 
-	// The parser's probe consumers: stats backs Stats (nil without
-	// WithStats), and base joins every construction-time consumer.
+	// The parser's probe consumers: stats is its counter block when
+	// WithStats asked for one (nil otherwise), and base joins every
+	// construction-time consumer.
 	// flight seats an attached flight recorder and withFlight joins it
 	// beside base; both are built on the first attach and kept.
 	stats      *Stats
@@ -573,9 +574,9 @@ func WithFlightRecorder(r *FlightRecorder) ParserOption {
 
 // WithCoverage accumulates decision-level coverage and hotspot
 // counters into p (create one with Grammar.NewCoverage). The parser
-// records into a private recorder and merges once per parse, so one
-// profile may be shared across parsers, pools, and goroutines. Nil
-// installs nothing.
+// counts into its private counter block and merges it once per parse,
+// so one profile may be shared across parsers, pools, and goroutines.
+// Nil installs nothing.
 func WithCoverage(p *CoverageProfile) ParserOption {
 	return func(o *parserConfig) { o.coverage = p }
 }
@@ -599,28 +600,36 @@ func WithRecovery(maxErrors int) ParserOption {
 	}
 }
 
-// NewParser returns a parser for the grammar. Every observing option
-// installs one consumer of the interpreter's probe; with none the probe
-// is nil and costs one nil check per instrumentation site.
+// NewParser returns a parser for the grammar. WithStats, WithCoverage
+// and WithMetrics, in any combination, install one consumer of the
+// interpreter's probe between them: the per-parse counter block that
+// Stats returns and that coverage and metrics read when a parse ends.
+// WithTracer, WithErrorListener and a flight recorder each install one
+// more. With none the probe is nil and costs one nil check per
+// instrumentation site.
 func (g *Grammar) NewParser(opts ...ParserOption) *Parser {
 	c := configure(opts)
 	p := &Parser{g: g}
+	shape := g.res.Shape()
 	var probes []runtime.Probe
-	if c.stats {
-		p.stats = interp.NewStats(g.res)
-		probes = append(probes, p.stats.Probe())
-	}
-	if c.coverage != nil {
-		probes = append(probes, c.coverage.NewRecorder())
-	}
-	if c.metrics != nil {
-		probes = append(probes, obs.NewMetricsProbe(c.metrics, interp.Throttles(g.res)))
+	if c.stats || c.coverage != nil || c.metrics != nil {
+		block := runtime.NewParseStats(shape)
+		if c.coverage != nil {
+			block.OnEnd(c.coverage.AddParse)
+		}
+		if c.metrics != nil {
+			block.OnEnd(obs.NewParseMetrics(c.metrics, shape).Flush)
+		}
+		if c.stats {
+			p.stats = block
+		}
+		probes = append(probes, block)
 	}
 	if c.errorListener != nil {
 		probes = append(probes, runtime.ErrorListener(c.errorListener).Probe())
 	}
 	if tr := obs.Active(c.tracer); tr != nil {
-		probes = append(probes, obs.NewTraceProbe(tr, interp.Throttles(g.res)))
+		probes = append(probes, obs.NewTraceProbe(tr, shape))
 	}
 	p.base = runtime.JoinProbes(probes...)
 	c.Probe = p.base
@@ -661,7 +670,7 @@ func (p *Parser) SetFlightRecorder(r *FlightRecorder) {
 		return
 	}
 	if p.flight == nil {
-		p.flight = flight.NewProbe(interp.Throttles(p.g.res))
+		p.flight = flight.NewProbe(p.g.res.Shape())
 		p.withFlight = runtime.JoinProbes(p.base, p.flight)
 	}
 	p.flight.Attach(r)
